@@ -271,10 +271,15 @@ def cmd_frame(args) -> int:
 
 
 def _load_relational(path: str) -> relational.RelationalModel:
-    if path.lower().endswith(".rm"):
+    if not path.lower().endswith(".rm"):
+        return relational.rel_of(_load_model(path))
+    try:
         with open(path, "r", encoding="utf-8") as fh:
             return relational.parse_relational(fh.read())
-    return relational.rel_of(_load_model(path))
+    except FileNotFoundError as e:
+        raise CliError(str(e), EXIT_PARSE)
+    except relational.RelationalError as e:
+        raise CliError(str(e), EXIT_SEMANTIC)
 
 
 def cmd_filtrate(args) -> int:
@@ -294,18 +299,12 @@ def cmd_filtrate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    path = args.input
+    r = _load_relational(args.input)
     try:
-        if path.lower().endswith(".rm"):
-            with open(path, "r", encoding="utf-8") as fh:
-                r = relational.parse_relational(fh.read())
-            m = relational.dep_of(r)
-            text = models.dumps_native(m)
+        if args.input.lower().endswith(".rm"):
+            text = models.dumps_native(relational.dep_of(r))
         else:
-            m = _load_model(path)
-            text = relational.dumps_relational(relational.rel_of(m))
-    except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_PARSE)
+            text = relational.dumps_relational(r)
     except relational.RelationalError as e:
         raise CliError(str(e), EXIT_SEMANTIC)
     if args.out:

@@ -7,13 +7,21 @@ store relations per listed variable set and a per-world dependence-atom
 valuation.  The bridges ``rel_of``/``dep_of`` connect them with dependence
 models, ``unravel`` turns a general model into a standard one up to a depth
 bound, and ``filtrate`` quotients a model by a closure set.
+
+A ``RelationalModel`` lazily fills a partition index derived from its
+relations: for each variable set X that a query needs, each world's =_X class
+id and one member tuple per class, shared by the class's worlds.  Every reader
+of a partition goes through it, so a partition is built once per model.  Each
+entry is computed and then stored with a single assignment, so threads racing
+on one model only repeat the same work.  Callers must not mutate
+``relations`` after construction, or the index goes stale.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Tuple
 
 from . import formulas as F
 from .models import DependenceModel, model_from_rows
@@ -49,6 +57,13 @@ def _closure_to_partition(worlds, pairs) -> Dict[str, int]:
     return out
 
 
+class Partition(NamedTuple):
+    """=_X on the worlds: each world's class id, and one member tuple (in
+    world order) per class, shared by all of the class's worlds."""
+    cid: Mapping[str, int]
+    blocks: Mapping[int, Tuple[str, ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class RelationalModel:
     worlds: Tuple[str, ...]
@@ -58,6 +73,9 @@ class RelationalModel:
     relations: Mapping[FrozenSet[str], Mapping[str, int]]
     dep_atoms: Mapping[str, FrozenSet[DepPair]]
     pred_atoms: Mapping[str, FrozenSet[PredAtom]]
+    # derived from `relations` on first use, one entry per variable set
+    _index: Dict[FrozenSet[str], Partition] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("standard", "general"):
@@ -65,44 +83,61 @@ class RelationalModel:
         if not self.worlds:
             raise RelationalError("at least one world is required")
 
+    def partition(self, xs: FrozenSet[str]) -> Partition:
+        """The =_xs partition, built once per model and variable set."""
+        part = self._index.get(xs)
+        if part is None:
+            part = self._index[xs] = self._build(xs)
+        return part
+
+    def _build(self, xs: FrozenSet[str]) -> Partition:
+        if xs in self.relations and (self.kind == "general" or len(xs) == 1):
+            cid = self.relations[xs]
+        elif not xs:
+            cid = dict.fromkeys(self.worlds, 0)
+        elif self.kind == "standard" and len(xs) > 1:
+            # set relations are intersections: the product of two entries
+            x = max(xs)
+            rest, own = self.relation(xs - {x}), self.relation(frozenset((x,)))
+            ids: Dict[tuple, int] = {}
+            cid = {w: ids.setdefault((rest[w], own[w]), len(ids))
+                   for w in self.worlds}
+        else:
+            raise RelationalError(f"no stored relation for {sorted(xs)}")
+        members: Dict[int, List[str]] = {}
+        for w in self.worlds:
+            members.setdefault(cid[w], []).append(w)
+        return Partition(cid, {c: tuple(ws) for c, ws in members.items()})
+
     def relation(self, xs: FrozenSet[str]) -> Mapping[str, int]:
         """world -> equivalence-class id under =_xs."""
-        if self.kind == "standard":
-            keys = {}
-            for w in self.worlds:
-                keys[w] = tuple(self.relations[frozenset((x,))][w]
-                                for x in sorted(xs))
-            ids: Dict[tuple, int] = {}
-            return {w: ids.setdefault(k, len(ids)) for w, k in keys.items()}
-        if xs in self.relations:
-            return self.relations[xs]
-        if not xs:
-            return {w: 0 for w in self.worlds}
-        raise RelationalError(f"no stored relation for {sorted(xs)}")
+        return self.partition(xs).cid
 
     def related(self, w: str, v: str, xs: FrozenSet[str]) -> bool:
         rel = self.relation(xs)
         return rel[w] == rel[v]
 
     def block(self, w: str, xs: FrozenSet[str]) -> Tuple[str, ...]:
-        rel = self.relation(xs)
-        return tuple(v for v in self.worlds if rel[v] == rel[w])
+        part = self.partition(xs)
+        return part.blocks[part.cid[w]]
 
     def dep_holds(self, w: str, xs: FrozenSet[str], y: str) -> bool:
         if self.kind == "general":
             return (xs, y) in self.dep_atoms.get(w, frozenset())
-        rel = self.relation(xs)
-        rely = self.relation(frozenset((y,)))
-        return all(rely[v] == rely[w]
-                   for v in self.worlds if rel[v] == rel[w])
+        # =_{xs+y} refines =_xs, so the blocks are equal iff equally large
+        return len(self.block(w, xs)) == len(self.block(w, xs | {y}))
+
+
+def _base(phi: F.Formula) -> F.Formula:
+    f = F.desugar(phi)
+    if not F.is_base(f):
+        raise RelationalError(f"relational semantics covers base formulas only: {phi!r}")
+    return f
 
 
 def eval_rel(r: RelationalModel, w: str, phi: F.Formula) -> bool:
     """Relational truth of a base formula at a world."""
-    f = F.desugar(phi)
-    if not F.is_base(f):
-        raise RelationalError(f"relational semantics covers base formulas only: {phi!r}")
-    return _eval(r, w, f)
+    return _eval(r, w, _base(phi))
 
 
 def _eval(r: RelationalModel, w: str, f: F.Formula) -> bool:
@@ -126,7 +161,7 @@ def _eval(r: RelationalModel, w: str, f: F.Formula) -> bool:
 def validate(r: RelationalModel) -> List[str]:
     """Check the defining conditions for the model's kind; empty = valid."""
     problems: List[str] = []
-    stored = dict(r.relations)
+    stored = r.relations
     if r.kind == "standard":
         for x in r.variables:
             if frozenset((x,)) not in stored:
@@ -134,23 +169,20 @@ def validate(r: RelationalModel) -> List[str]:
         # atom agreement mirrors the valuation condition on standard models
         for xs in _atom_varsets(r) | {frozenset((x,)) for x in r.variables}:
             try:
-                rel = r.relation(xs)
+                blocks = r.partition(xs).blocks.values()
             except RelationalError:
                 continue
-            for w, v in itertools.product(r.worlds, repeat=2):
-                if rel[w] != rel[v]:
-                    continue
-                for name, args in r.pred_atoms.get(w, frozenset()):
-                    if set(args) <= xs and (name, args) not in r.pred_atoms.get(v, frozenset()):
-                        problems.append(
-                            f"atom condition: {name}{args} at {w} but not at "
-                            f"{xs}-equivalent {v}")
+            for members in blocks:
+                for (name, args), w, v in _unshared(
+                        members, lambda w: _atoms_over(r, w, xs)):
+                    problems.append(
+                        f"atom condition: {name}{args} at {w} but not at "
+                        f"{xs}-equivalent {v}")
         return sorted(set(problems))
     # general kind: numbered conditions
     if frozenset() not in stored:
         problems.append("missing relation for the empty set")
-    empty = stored.get(frozenset())
-    if empty is not None and len(set(empty.values())) > 1:
+    elif len(r.partition(frozenset()).blocks) > 1:
         problems.append("(5) relation for the empty set is not global")
     for w in r.worlds:
         deps = r.dep_atoms.get(w, frozenset())
@@ -177,32 +209,43 @@ def validate(r: RelationalModel) -> List[str]:
                             problems.append(
                                 f"(2) transitivity fails at {w}: "
                                 f"D{sorted(xs)}{sorted(ys)}, D{sorted(ys)}{z}")
-    for xs, rel in stored.items():
-        blocks: Dict[int, List[str]] = {}
-        for w in r.worlds:
-            blocks.setdefault(rel[w], []).append(w)
-        for members in blocks.values():
-            for w, v in itertools.product(members, repeat=2):
-                if w == v:
-                    continue
-                for (us, y) in r.dep_atoms.get(w, frozenset()):
-                    if us != xs:
-                        continue
-                    if (us, y) not in r.dep_atoms.get(v, frozenset()):
-                        problems.append(
-                            f"(3) transfer fails: D{sorted(xs)}{y} at {w} "
-                            f"but not at {xs}-equivalent {v}")
+    for xs in stored:
+        for members in r.partition(xs).blocks.values():
+            for (_, y), w, v in _unshared(members, lambda w: {
+                    d for d in r.dep_atoms.get(w, frozenset()) if d[0] == xs}):
+                problems.append(
+                    f"(3) transfer fails: D{sorted(xs)}{y} at {w} "
+                    f"but not at {xs}-equivalent {v}")
+            for w in members:
+                for us, y in r.dep_atoms.get(w, frozenset()):
                     rely = stored.get(frozenset((y,)))
-                    if rely is not None and rely[w] != rely[v]:
-                        problems.append(
+                    if us == xs and rely is not None:
+                        problems.extend(
                             f"(3) transfer fails: {w} ={sorted(xs)} {v}, "
-                            f"D{sorted(xs)}{y} at {w}, but not ={y}")
-                for name, args in r.pred_atoms.get(w, frozenset()):
-                    if set(args) <= xs and (name, args) not in r.pred_atoms.get(v, frozenset()):
-                        problems.append(
-                            f"(4) atom condition: {name}{args} at {w} but not "
-                            f"at {sorted(xs)}-equivalent {v}")
+                            f"D{sorted(xs)}{y} at {w}, but not ={y}"
+                            for v in members if rely[v] != rely[w])
+            for (name, args), w, v in _unshared(
+                    members, lambda w: _atoms_over(r, w, xs)):
+                problems.append(
+                    f"(4) atom condition: {name}{args} at {w} but not "
+                    f"at {sorted(xs)}-equivalent {v}")
     return sorted(set(problems))
+
+
+def _unshared(members, held_at):
+    """(item, w, v) for every item of held_at(w) missing from held_at(v),
+    over the worlds w, v of one block."""
+    if len(members) < 2:
+        return
+    held = {w: held_at(w) for w in members}
+    for item in set().union(*held.values()):
+        lacking = [v for v in members if item not in held[v]]
+        yield from ((item, w, v) for w in members if item in held[w]
+                    for v in lacking)
+
+
+def _atoms_over(r: RelationalModel, w: str, xs: FrozenSet[str]) -> set:
+    return {a for a in r.pred_atoms.get(w, frozenset()) if set(a[1]) <= xs}
 
 
 def _atom_varsets(r: RelationalModel) -> set:
@@ -245,18 +288,11 @@ def dep_of(r: RelationalModel) -> DependenceModel:
     """The dependence model on (variable, equivalence-class) objects."""
     if r.kind != "standard":
         raise RelationalError("dep_of requires a standard relational model")
-    rows = []
-    for w in r.worlds:
-        rows.append([f"{x}:{r.relations[frozenset((x,))][w]}"
-                     for x in r.variables])
+    rels = [r.relation(frozenset((x,))) for x in r.variables]
+    rows = [[f"{x}:{rel[w]}" for x, rel in zip(r.variables, rels)]
+            for w in r.worlds]
     # identical rows collapse: relationally indistinguishable worlds
-    uniq, seen, of_world = [], {}, {}
-    for w, row in zip(r.worlds, rows):
-        key = tuple(row)
-        if key not in seen:
-            seen[key] = len(uniq)
-            uniq.append(row)
-        of_world[w] = seen[key]
+    uniq = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     arities: Dict[str, int] = {}
     tuples: Dict[str, set] = {}
     for w, row in zip(r.worlds, rows):
@@ -269,14 +305,10 @@ def dep_of(r: RelationalModel) -> DependenceModel:
 
 def world_to_row(r: RelationalModel) -> Dict[str, int]:
     """Map each world to its row index in dep_of(r)."""
+    rels = [r.relation(frozenset((x,))) for x in r.variables]
     seen: Dict[tuple, int] = {}
-    out = {}
-    for w in r.worlds:
-        key = tuple(r.relations[frozenset((x,))][w] for x in r.variables)
-        if key not in seen:
-            seen[key] = len(seen)
-        out[w] = seen[key]
-    return out
+    return {w: seen.setdefault(tuple(rel[w] for rel in rels), len(seen))
+            for w in r.worlds}
 
 
 def _histories(r: RelationalModel, w0: str, depth: int) -> List[tuple]:
@@ -289,10 +321,7 @@ def _histories(r: RelationalModel, w0: str, depth: int) -> List[tuple]:
         for h in frontier:
             lastw = h[-1][0]
             for xs in step_sets:
-                rel = r.relation(xs)
-                for v in r.worlds:
-                    if rel[v] == rel[lastw]:
-                        new.append(h + ((v, xs),))
+                new.extend(h + ((v, xs),) for v in r.block(lastw, xs))
         histories.extend(new)
         frontier = new
     return histories
@@ -343,9 +372,8 @@ def filtrate(r: RelationalModel, phi: F.Formula) -> RelationalModel:
     """
     phi_set = sorted(F.closure([phi]), key=F.sort_key)
     vf = sorted({v for f in phi_set for v in F.all_vars(f)})
-    profile_of: Dict[str, tuple] = {}
-    for w in r.worlds:
-        profile_of[w] = tuple(eval_rel(r, w, f) for f in phi_set)
+    bodies = [_base(f) for f in phi_set]
+    profile_of = {w: tuple(_eval(r, w, g) for g in bodies) for w in r.worlds}
     classes: Dict[tuple, str] = {}
     rep: Dict[str, str] = {}
     for w in r.worlds:
@@ -354,23 +382,14 @@ def filtrate(r: RelationalModel, phi: F.Formula) -> RelationalModel:
             classes[p] = f"c{len(classes)}"
             rep[classes[p]] = w
     worlds = tuple(sorted(classes.values(), key=lambda c: int(c[1:])))
-
-    def truth(w: str, f: F.Formula) -> bool:
-        return profile_of[w][phi_set.index(f)]
-
     dep_atoms = {}
     pred_atoms = {}
     for c in worlds:
-        w = rep[c]
-        deps = set()
-        preds = set()
-        for f in phi_set:
-            if isinstance(f, F.DepAtom) and profile_of[w][phi_set.index(f)]:
-                deps.add((f.xs, f.y))
-            if isinstance(f, F.Pred) and profile_of[w][phi_set.index(f)]:
-                preds.add((f.name, f.args))
-        dep_atoms[c] = frozenset(deps)
-        pred_atoms[c] = frozenset(preds)
+        held = [f for f, t in zip(phi_set, profile_of[rep[c]]) if t]
+        dep_atoms[c] = frozenset(
+            (f.xs, f.y) for f in held if isinstance(f, F.DepAtom))
+        pred_atoms[c] = frozenset(
+            (f.name, f.args) for f in held if isinstance(f, F.Pred))
     free_of = {f: F.free_vars(f) for f in phi_set}
     relations = {}
     subsets = [frozenset(combo) for n in range(len(vf) + 1)
@@ -397,14 +416,9 @@ def dumps_relational(r: RelationalModel) -> str:
     out.append("variables " + " ".join(r.variables))
     out.append("world " + " ".join(r.worlds))
     for xs in sorted(r.relations, key=lambda s: (len(s), tuple(sorted(s)))):
-        rel = r.relations[xs]
-        blocks: Dict[int, List[str]] = {}
-        for w in r.worlds:
-            blocks.setdefault(rel[w], []).append(w)
-        pairs = []
-        for cid in sorted(blocks):
-            ws = blocks[cid]
-            pairs.extend(f"{a}~{b}" for a, b in zip(ws, ws[1:]))
+        blocks = r.partition(xs).blocks
+        pairs = [f"{a}~{b}" for cid in sorted(blocks)
+                 for a, b in zip(blocks[cid], blocks[cid][1:])]
         out.append(f"rel {{{','.join(sorted(xs))}}}: " + " ".join(pairs))
     for w in r.worlds:
         deps = sorted(r.dep_atoms.get(w, frozenset()),
@@ -427,6 +441,7 @@ def parse_relational(text: str) -> RelationalModel:
     rel_pairs: Dict[FrozenSet[str], List[Tuple[str, str]]] = {}
     dep_atoms: Dict[str, set] = {}
     pred_atoms: Dict[str, set] = {}
+    named: List[Tuple[int, str]] = []  # (line, world) for every world named
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -446,9 +461,11 @@ def parse_relational(text: str) -> RelationalModel:
             for chunk in body.split():
                 a, _, b = chunk.partition("~")
                 pairs.append((a, b))
+                named += [(lineno, a), (lineno, b)]
         elif head == "dep":
             w, _, body = rest.partition(":")
             w = w.strip()
+            named.append((lineno, w))
             for chunk in body.split():
                 braces, _, y = chunk.partition("->")
                 xs = frozenset(v for v in braces.strip().strip("{}").split(",") if v)
@@ -456,6 +473,7 @@ def parse_relational(text: str) -> RelationalModel:
         elif head == "atom":
             w, _, body = rest.partition(":")
             w = w.strip()
+            named.append((lineno, w))
             for chunk in body.split():
                 f = parse(chunk)
                 if not isinstance(f, F.Pred):
@@ -466,6 +484,11 @@ def parse_relational(text: str) -> RelationalModel:
             raise RelationalError(f"line {lineno}: unknown directive {head!r}")
     if not worlds:
         raise RelationalError("missing world line")
+    declared = set(worlds)
+    for lineno, w in named:
+        if w not in declared:
+            raise RelationalError(
+                f"line {lineno}: world {w!r} is not on the world line")
     relations = {xs: _closure_to_partition(worlds, pairs)
                  for xs, pairs in rel_pairs.items()}
     return RelationalModel(

@@ -197,3 +197,25 @@ class TestFiltrateConvert:
         run(capsys, "convert", "--in", data_path("restaurant.csv"), "--out", b)
         with open(a, "rb") as f1, open(b, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def _refused(self, capsys, code_wanted, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == code_wanted and out == ""
+        assert err and "Traceback" not in err
+
+    def test_convert_undeclared_world_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "undeclared.rm"
+        path.write_text("kind standard\nvariables x y\nworld w0 w1\n"
+                        "rel {x}: w0~w9\nrel {y}: w0~w1\n")
+        self._refused(capsys, 3, "convert", "--in", str(path))
+
+    def test_convert_missing_single_relation_exit_three(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "no-single.rm"
+        path.write_text("kind standard\nvariables x y\nworld w0 w1\n"
+                        "rel {y}: w0~w1\n")
+        self._refused(capsys, 3, "convert", "--in", str(path))
+
+    def test_filtrate_missing_file_exit_two(self, capsys, tmp_path):
+        self._refused(capsys, 2, "filtrate", "--model",
+                      str(tmp_path / "missing.rm"), "--formula", "D{x}y")

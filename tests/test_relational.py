@@ -70,6 +70,42 @@ class TestValidate:
         problems = validate(bad)
         assert any("(2) projection" in p for p in problems)
 
+    def test_standard_atom_condition_messages(self):
+        # P(x) holds at w0 and w4 but not at their x-equivalent w1
+        relations = {
+            fs("x"): {"w0": 0, "w1": 0, "w2": 1, "w3": 1, "w4": 0},
+            fs("y"): {"w0": 0, "w1": 1, "w2": 1, "w3": 2, "w4": 3},
+        }
+        atoms = {
+            "w0": frozenset({("P", ("x",)), ("R", ("x", "x")),
+                             ("R", ("x", "y"))}),
+            "w2": frozenset({("P", ("y",))}),
+            "w3": frozenset({("P", ("x",))}),
+            "w4": frozenset({("P", ("x",))}),
+        }
+        r = RelationalModel(("w0", "w1", "w2", "w3", "w4"), ("x", "y"),
+                            "standard", relations, {}, atoms)
+        assert validate(r) == [
+            "atom condition: P('x',) at w0 but not at "
+            "frozenset({'x'})-equivalent w1",
+            "atom condition: P('x',) at w3 but not at "
+            "frozenset({'x'})-equivalent w2",
+            "atom condition: P('x',) at w4 but not at "
+            "frozenset({'x'})-equivalent w1",
+            "atom condition: P('y',) at w2 but not at "
+            "frozenset({'y'})-equivalent w1",
+            "atom condition: R('x', 'x') at w0 but not at "
+            "frozenset({'x'})-equivalent w1",
+            "atom condition: R('x', 'x') at w0 but not at "
+            "frozenset({'x'})-equivalent w4",
+        ]
+
+    def test_standard_missing_relation_reported(self):
+        r = RelationalModel(("w0", "w1"), ("x", "y"), "standard",
+                            {fs("y"): {"w0": 0, "w1": 0}}, {},
+                            {"w0": frozenset({("R", ("x", "y"))})})
+        assert validate(r) == ["missing relation for variable x"]
+
     def test_non_global_empty_relation_reported(self):
         r = general_two_world()
         bad_rel = dict(r.relations)
@@ -110,14 +146,19 @@ class TestBridges:
         assert len(rel_of(m).worlds) == len(m.team)
 
     def test_rel_of_agrees_with_checker(self):
+        # three-variable teams take several formulas in turn on one model,
+        # so its partition index is filled by one query and read by the next
         rng = random.Random(92)
-        vs = ("x", "y")
-        for _ in range(60):
-            m = random_model(rng, vs)
-            r = rel_of(m)
-            f = random_base_formula(rng, vs, rng.randint(0, 3))
-            for i in range(len(m.team)):
-                assert checker.eval_formula(m, i, f) == eval_rel(r, f"w{i}", f)
+        for vs, rows, n_models, n_formulas in ((("x", "y"), 6, 60, 1),
+                                               (("x", "y", "z"), 12, 20, 5)):
+            for _ in range(n_models):
+                m = random_model(rng, vs, max_rows=rows)
+                r = rel_of(m)
+                for _ in range(n_formulas):
+                    f = random_base_formula(rng, vs, rng.randint(0, 3))
+                    got = {i for i in range(len(m.team))
+                           if eval_rel(r, f"w{i}", f)}
+                    assert got == checker.truth_set(m, f), f
 
     def test_dep_of_agrees_with_relational(self):
         rng = random.Random(93)
@@ -209,24 +250,29 @@ class TestFiltrate:
 
     def test_filtration_lemma_and_size_bound(self):
         rng = random.Random(96)
-        vs = ("x", "y")
-        for _ in range(25):
-            m = random_model(rng, vs)
-            r = rel_of(m)
-            f = random_base_formula(rng, vs, rng.randint(0, 2))
-            out = filtrate(r, f)
-            phi = closure_index([f])
-            assert len(out.worlds) <= 2 ** len(phi)
-            assert validate(out) == []
-            # each world satisfies exactly the closure formulas its class does
-            profiles = {}
-            for w in r.worlds:
-                profiles.setdefault(
-                    tuple(eval_rel(r, w, g) for g in phi.formulas), w)
-            for prof, w in profiles.items():
-                cls = [c for c in out.worlds
-                       if tuple(eval_rel(out, c, g) for g in phi.formulas) == prof]
-                assert len(cls) == 1, (f, prof)
+        for vs, rows, n_models, n_formulas in ((("x", "y"), 6, 25, 1),
+                                               (("x", "y", "z"), 12, 10, 3)):
+            for _ in range(n_models):
+                m = random_model(rng, vs, max_rows=rows)
+                r = rel_of(m)
+                for _ in range(n_formulas):
+                    f = random_base_formula(rng, vs, rng.randint(0, 2))
+                    out = filtrate(r, f)
+                    phi = closure_index([f])
+                    assert len(out.worlds) <= 2 ** len(phi)
+                    assert validate(out) == []
+                    # each world satisfies exactly the closure formulas its
+                    # class does, and the checker agrees on every row
+                    truth = [checker.truth_set(m, g) for g in phi.formulas]
+                    profiles = {}
+                    for i, w in enumerate(r.worlds):
+                        prof = tuple(eval_rel(r, w, g) for g in phi.formulas)
+                        assert prof == tuple(i in t for t in truth), f
+                        profiles.setdefault(prof, w)
+                    for prof, w in profiles.items():
+                        cls = [c for c in out.worlds if prof == tuple(
+                            eval_rel(out, c, g) for g in phi.formulas)]
+                        assert len(cls) == 1, (f, prof)
 
     def test_restaurant_collapses_agreeing_rows(self):
         m = restaurant_model()
