@@ -81,20 +81,17 @@ def _fmt_set(xs) -> str:
 
 
 def _minimal_sets(m: models.DependenceModel, y: str, row: Optional[int]):
-    import itertools
     others = [x for x in m.variables if x != y]
     found: List[frozenset] = []
-    for n in range(len(others) + 1):
-        for combo in itertools.combinations(others, n):
-            xs = frozenset(combo)
-            if any(prev <= xs for prev in found):
-                continue
-            if row is None:
-                ok = models.global_dep(m, xs, y)
-            else:
-                ok = models.local_dep(m, m.team[row], xs, y)
-            if ok:
-                found.append(xs)
+    for xs in F.subsets(others):
+        if any(prev <= xs for prev in found):
+            continue
+        if row is None:
+            ok = models.global_dep(m, xs, y)
+        else:
+            ok = models.local_dep(m, m.team[row], xs, y)
+        if ok:
+            found.append(xs)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -276,7 +273,7 @@ def _load_relational(path: str) -> relational.RelationalModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return relational.parse_relational(fh.read())
-    except FileNotFoundError as e:
+    except (FileNotFoundError, relational.RelationalFormatError) as e:
         raise CliError(str(e), EXIT_PARSE)
     except relational.RelationalError as e:
         raise CliError(str(e), EXIT_SEMANTIC)

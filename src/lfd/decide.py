@@ -7,6 +7,12 @@ eliminating, per cell, every set whose existential members lack a witness
 under the same-frame relation; any type model lies inside one cell and
 survives, and a surviving cell is itself a type model.  SAT answers carry a
 finite relational witness built from the surviving cell.
+
+The dependence-atom patterns of Hintikka sets are the relations that
+:func:`lfd.represent.enumerate_dependence_relations` enumerates.  Their
+number grows so fast (2480 at 4 variables, 1,385,552 at 5) that :func:`sat`
+and :func:`valid` refuse formulas over more than :data:`VARIABLE_LIMIT`
+variables with :class:`lfd.formulas.ClosureCapError`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import formulas as F
 from .models import DependenceModel, model_from_rows
 from .relational import RelationalModel
+from .represent import enumerate_dependence_relations
+
+# sat/valid refuse formulas over more variables than this
+VARIABLE_LIMIT = 4
 
 
 class DecideError(ValueError):
@@ -35,7 +45,7 @@ class ClosureIndex:
         object.__setattr__(self, "_pos", {f: i for i, f in enumerate(self.formulas)})
         object.__setattr__(self, "_free", tuple(F.free_vars(f) for f in self.formulas))
         masks = {}
-        for xs in _subsets(self.variables):
+        for xs in F.subsets(self.variables):
             m = 0
             for i, fr in enumerate(self._free):
                 if fr <= xs:
@@ -54,12 +64,6 @@ class ClosureIndex:
 
     def __len__(self) -> int:
         return len(self.formulas)
-
-
-def _subsets(vs: Sequence[str]):
-    for n in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, n):
-            yield frozenset(combo)
 
 
 @dataclass(frozen=True, eq=True)
@@ -105,34 +109,6 @@ def closure_index(fs, var_cap: int = 12) -> ClosureIndex:
     return ClosureIndex(tuple(phi), tuple(vf))
 
 
-def _dependence_relations(variables: Sequence[str]) -> List[FrozenSet]:
-    """All Projection+Transitivity atom patterns, via intersection-closed
-    families of closed sets."""
-    vs = tuple(variables)
-    full = frozenset(vs)
-    rest = [s for s in _subsets(vs) if s != full]
-    out = []
-    seen = set()
-    for n in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, n):
-            fam = set(combo) | {full}
-            if not all((a & b) in fam for a in fam for b in fam):
-                continue
-            pairs = set()
-            for xs in _subsets(vs):
-                cl = full
-                for c in fam:
-                    if xs <= c:
-                        cl &= c
-                for y in cl:
-                    pairs.add((xs, y))
-            fr = frozenset(pairs)
-            if fr not in seen:
-                seen.add(fr)
-                out.append(fr)
-    return sorted(out, key=lambda ps: sorted((tuple(sorted(x)), y) for x, y in ps))
-
-
 def hintikka_sets(phi: ClosureIndex) -> List[HintikkaSet]:
     """All Hintikka sets for the closure, in a deterministic order."""
     if len(phi) == 0:
@@ -143,11 +119,11 @@ def hintikka_sets(phi: ClosureIndex) -> List[HintikkaSet]:
     boxes = sorted((f for f in formulas if isinstance(f, F.Box)),
                    key=lambda b: _depth(b))
     out: List[HintikkaSet] = []
-    for rel in _dependence_relations(phi.variables):
+    for rel in enumerate_dependence_relations(phi.variables):
         rel_truth = {}
         for f in formulas:
             if isinstance(f, F.DepAtom):
-                rel_truth[f] = (f.xs, f.y) in rel
+                rel_truth[f] = rel.holds(f.xs, f.y)
 
         def assign(i_pred: int, i_box: int, truth: Dict[F.Formula, bool]):
             if i_pred < len(preds):
@@ -313,7 +289,7 @@ def _surviving_cells(phi: ClosureIndex, sets: List[HintikkaSet]):
 def _witness_model(phi: ClosureIndex, fam: List[HintikkaSet]) -> RelationalModel:
     worlds = tuple(f"w{i}" for i in range(len(fam)))
     relations = {}
-    for xs in _subsets(phi.variables):
+    for xs in F.subsets(phi.variables):
         ids: Dict[tuple, int] = {}
         rel = {}
         for w, sigma in zip(worlds, fam):
@@ -334,13 +310,18 @@ def _witness_model(phi: ClosureIndex, fam: List[HintikkaSet]) -> RelationalModel
                            dep_atoms, pred_atoms)
 
 
-def sat(phi_formula: F.Formula, var_cap: int = 12) -> DecisionResult:
+def sat(phi_formula: F.Formula) -> DecisionResult:
     """Satisfiability over dependence models, with a relational witness."""
     f = F.desugar(phi_formula)
     if not F.is_base(f):
         raise DecideError(
             "satisfiability works on the base language; desugar or reduce first")
-    phi = closure_index([f], var_cap=var_cap)
+    n = len(F.all_vars(f))
+    if n > VARIABLE_LIMIT:
+        raise F.ClosureCapError(
+            f"{n} variables exceed the limit of {VARIABLE_LIMIT} for "
+            "satisfiability and validity")
+    phi = closure_index([f])
     sets = hintikka_sets(phi)
     survivors, rounds = _surviving_cells(phi, sets)
     stats = {"hintikka_sets": len(sets), "elimination_rounds": rounds,
@@ -353,9 +334,9 @@ def sat(phi_formula: F.Formula, var_cap: int = 12) -> DecisionResult:
     return DecisionResult("unsat", None, None, stats)
 
 
-def valid(phi_formula: F.Formula, var_cap: int = 12) -> ValidityResult:
+def valid(phi_formula: F.Formula) -> ValidityResult:
     """Validity over dependence models; invalid answers carry a countermodel."""
-    r = sat(F.Not(F.desugar(phi_formula)), var_cap=var_cap)
+    r = sat(F.Not(F.desugar(phi_formula)))
     if r.status == "unsat":
         return ValidityResult("valid", None, None, r.stats)
     return ValidityResult("invalid", r.witness, r.witness_world, r.stats)
@@ -402,7 +383,7 @@ def realize_bounded(t: TypeModel, depth: int) -> DependenceModel:
         new = []
         for p in frontier:
             sigma = fam[p[-1]]
-            for xs in _subsets(vs):
+            for xs in F.subsets(vs):
                 for j, delta in enumerate(fam):
                     if sim(sigma, delta, xs):
                         new.append(p + (tuple(sorted(xs)), j))
@@ -433,10 +414,5 @@ def realize_bounded(t: TypeModel, depth: int) -> DependenceModel:
         for f in sigma.formulas:
             if isinstance(f, F.Pred):
                 tuples.setdefault(f.name, set()).add(tuple(v[x] for x in f.args))
-    rows, seen = [], set()
-    for p in paths:
-        row = tuple(values[p][x] for x in vs)
-        if row not in seen:
-            seen.add(row)
-            rows.append(list(row))
-    return model_from_rows(vs, rows, arities, tuples)
+    rows = dict.fromkeys(tuple(values[p][x] for x in vs) for p in paths)
+    return model_from_rows(vs, list(rows), arities, tuples)

@@ -10,6 +10,7 @@ directly by the checker.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -553,10 +554,12 @@ def rename(f: Formula, sigma: Mapping[str, str]) -> Formula:
     return go(f)
 
 
-def _subsets(vs: tuple) -> Iterator[VarSet]:
-    n = len(vs)
-    for mask in range(1 << n):
-        yield frozenset(vs[i] for i in range(n) if mask >> i & 1)
+def subsets(vs) -> Iterator[frozenset]:
+    """Every subset of the sequence vs, by size, then in
+    ``itertools.combinations`` order."""
+    for n in range(len(vs) + 1):
+        for combo in itertools.combinations(vs, n):
+            yield frozenset(combo)
 
 
 def closure(fs: Iterable[Formula], var_cap: int = 12) -> frozenset:
@@ -584,7 +587,7 @@ def closure(fs: Iterable[Formula], var_cap: int = 12) -> frozenset:
     out: set = set()
     for g in seed:
         out |= subformulas(g)
-    for xs in _subsets(vs):
+    for xs in subsets(vs):
         for y in vs:
             out |= subformulas(DepAtom(xs, y))
     for g in list(out):

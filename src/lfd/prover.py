@@ -7,7 +7,8 @@ premise keeps exactly the formulas framed by the guard atoms, transitivity
 restricted to occurring variables, and cuts on dependence atoms over
 occurring variables.  All premises except the right modal rule's strictly
 enlarge the sequent; the one shrinking rule can cycle, which a path check
-cuts.  Successes and path-independent failures are memoised globally, and
+cuts.  Successes and path-independent failures are memoised in the
+:class:`Prover` (one per call of :func:`prove`/:func:`proves`), and
 path-dependent failures are cached conditionally on their blocking
 ancestors, so search stays proportional to the reachable sequent space.
 
@@ -17,7 +18,6 @@ against the prover before being returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -254,16 +254,14 @@ class Prover:
                          tuple(self._build_tree(p) for p in premises))
 
 
-_DEFAULT = Prover()
-
-
 def prove(goal: Sequent) -> Optional[ProofTree]:
-    """Prove a sequent, or return None as a definitive refusal."""
-    return _DEFAULT.prove(goal)
+    """Prove a sequent with a fresh :class:`Prover`, or return None as a
+    definitive refusal."""
+    return Prover().prove(goal)
 
 
 def proves(goal: Sequent) -> bool:
-    return _DEFAULT.proves(goal)
+    return Prover().proves(goal)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +277,9 @@ def check_tree(tree: ProofTree, root: Optional[Sequent] = None) -> None:
     for f in root[0] | root[1]:
         allowed |= F.subformulas(f)
     rvars = tuple(sorted(_vars_of(root)))
-    for n in range(len(rvars) + 1):
-        for combo in itertools.combinations(rvars, n):
-            for y in rvars:
-                allowed.add(F.DepAtom(frozenset(combo), y))
+    for xs in F.subsets(rvars):
+        for y in rvars:
+            allowed.add(F.DepAtom(xs, y))
 
     def visit(node: ProofTree) -> None:
         for f in node.left | node.right:
@@ -589,15 +586,16 @@ def interpolant(tree: ProofTree, split: Optional[Split] = None,
 
     With the default split this is a formula `t` with `left => t` and
     `t => right` provable, sharing predicates and variables with both sides.
-    The three conditions are re-verified with the prover; a construction
-    that misses them raises :class:`InterpolationError`.
+    The three conditions are re-verified with ``prover`` (a fresh
+    :class:`Prover` by default); a construction that misses them raises
+    :class:`InterpolationError`.
     """
     check_tree(tree)
     if split is None:
         split = Split(tree.left, frozenset())
     if not (split.left1 <= tree.left and split.right1 <= tree.right):
         raise InterpolationError("split is not a partition of the conclusion")
-    pv = prover or _DEFAULT
+    pv = prover or Prover()
     theta = _simplify(_extract(tree, split.left1, split.right1, False))
     core = F.desugar(theta)
     block1 = split.left1 | split.right1

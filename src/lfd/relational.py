@@ -35,6 +35,10 @@ class RelationalError(ValueError):
     pass
 
 
+class RelationalFormatError(RelationalError):
+    """A malformed line in the ``.rm`` text format."""
+
+
 def _closure_to_partition(worlds, pairs) -> Dict[str, int]:
     """Union-find over the given pairs; returns world -> class id."""
     parent = {w: w for w in worlds}
@@ -177,7 +181,7 @@ def validate(r: RelationalModel) -> List[str]:
                         members, lambda w: _atoms_over(r, w, xs)):
                     problems.append(
                         f"atom condition: {name}{args} at {w} but not at "
-                        f"{xs}-equivalent {v}")
+                        f"{sorted(xs)}-equivalent {v}")
         return sorted(set(problems))
     # general kind: numbered conditions
     if frozenset() not in stored:
@@ -215,7 +219,7 @@ def validate(r: RelationalModel) -> List[str]:
                     d for d in r.dep_atoms.get(w, frozenset()) if d[0] == xs}):
                 problems.append(
                     f"(3) transfer fails: D{sorted(xs)}{y} at {w} "
-                    f"but not at {xs}-equivalent {v}")
+                    f"but not at {sorted(xs)}-equivalent {v}")
             for w in members:
                 for us, y in r.dep_atoms.get(w, frozenset()):
                     rely = stored.get(frozenset((y,)))
@@ -392,9 +396,7 @@ def filtrate(r: RelationalModel, phi: F.Formula) -> RelationalModel:
             (f.name, f.args) for f in held if isinstance(f, F.Pred))
     free_of = {f: F.free_vars(f) for f in phi_set}
     relations = {}
-    subsets = [frozenset(combo) for n in range(len(vf) + 1)
-               for combo in itertools.combinations(vf, n)]
-    for xs in subsets:
+    for xs in F.subsets(vf):
         keys = {}
         for c in worlds:
             w = rep[c]
@@ -477,11 +479,11 @@ def parse_relational(text: str) -> RelationalModel:
             for chunk in body.split():
                 f = parse(chunk)
                 if not isinstance(f, F.Pred):
-                    raise RelationalError(
+                    raise RelationalFormatError(
                         f"line {lineno}: expected a predicate atom, got {chunk!r}")
                 pred_atoms.setdefault(w, set()).add((f.name, f.args))
         else:
-            raise RelationalError(f"line {lineno}: unknown directive {head!r}")
+            raise RelationalFormatError(f"line {lineno}: unknown directive {head!r}")
     if not worlds:
         raise RelationalError("missing world line")
     declared = set(worlds)

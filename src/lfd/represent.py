@@ -4,15 +4,20 @@ A relation R between variable sets and variables that satisfies Reflexivity,
 Transitivity and Monotonicity (equivalently Projection and Transitivity) is
 exactly the global, or the everywhere-local, dependence relation of some
 finite dependence model; the constructions here build such models.
+
+Such relations are exactly the ones read off closure systems (Moore families
+of closed variable sets).  :func:`enumerate_dependence_relations` is the one
+enumerator of them, used by the decision procedure too: it grows each
+intersection-closed family once by adding its sets in increasing bitmask
+order, a canonical search in the style of Ganter's NextClosure.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
-from .formulas import check_ident
+from .formulas import check_ident, subsets
 from .models import DependenceModel, model_from_rows
 
 Pair = Tuple[FrozenSet[str], str]
@@ -41,12 +46,6 @@ class AbstractDependence:
         return all((xs, y) in self.pairs for y in ys)
 
 
-def _subsets(vs: Sequence[str]) -> Iterator[FrozenSet[str]]:
-    for n in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, n):
-            yield frozenset(combo)
-
-
 @dataclass(frozen=True)
 class StructuralReport:
     reflexive: bool
@@ -63,7 +62,7 @@ class StructuralReport:
 
 def check_structural(r: AbstractDependence) -> StructuralReport:
     vs = sorted(r.variables)
-    subs = list(_subsets(vs))
+    subs = list(subsets(vs))
     reflexive = all(r.holds(frozenset((x,)), x) for x in vs)
     transitive = True
     for xs in subs:
@@ -101,7 +100,7 @@ def r_closure(r: AbstractDependence, xs: FrozenSet[str]) -> FrozenSet[str]:
 def closed_sets(r: AbstractDependence) -> List[FrozenSet[str]]:
     """All R-closed subsets of V, canonically ordered."""
     out = []
-    for xs in _subsets(sorted(r.variables)):
+    for xs in subsets(sorted(r.variables)):
         if all(y in xs for y in r.variables if r.holds(xs, y)):
             out.append(xs)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
@@ -112,7 +111,7 @@ def relation_of_closure_operator(variables: FrozenSet[str],
     """The dependence relation whose closure operator has the given closed sets."""
     fam = list(closed)
     pairs = set()
-    for xs in _subsets(sorted(variables)):
+    for xs in subsets(sorted(variables)):
         cl = frozenset(variables)
         for c in fam:
             if xs <= c:
@@ -122,24 +121,30 @@ def relation_of_closure_operator(variables: FrozenSet[str],
     return AbstractDependence(frozenset(variables), frozenset(pairs))
 
 
+def _moore_families(n: int) -> Iterator[List[int]]:
+    """Each intersection-closed family of subsets of n elements that holds
+    the full set, exactly once.  Sets are bitmasks.  A set intersected with
+    anything is a submask, so no larger than itself: adding a family's sets in
+    increasing order keeps every prefix closed, which makes that order the
+    one canonical path to the family."""
+    full = (1 << n) - 1
+
+    def grow(members: List[int], fam: int, start: int) -> Iterator[List[int]]:
+        yield members
+        for s in range(start, full):
+            if all(fam >> (s & c) & 1 for c in members if s & c != s):
+                yield from grow(members + [s], fam | 1 << s, s + 1)
+
+    yield from grow([full], 1 << full, 0)
+
+
 def enumerate_dependence_relations(variables: Iterable[str]) -> List[AbstractDependence]:
     """All axiom-satisfying relations over the variables (via Moore families)."""
-    vs = frozenset(variables)
-    universe = list(_subsets(sorted(vs)))
-    full = frozenset(vs)
-    rest = [s for s in universe if s != full]
-    out = []
-    seen = set()
-    for n in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, n):
-            fam = set(combo) | {full}
-            ok = all((a & b) in fam for a in fam for b in fam)
-            if not ok:
-                continue
-            rel = relation_of_closure_operator(vs, fam)
-            if rel.pairs not in seen:
-                seen.add(rel.pairs)
-                out.append(rel)
+    vs = sorted(frozenset(variables))
+    sets = [frozenset(v for i, v in enumerate(vs) if m >> i & 1)
+            for m in range(1 << len(vs))]
+    out = [relation_of_closure_operator(frozenset(vs), [sets[m] for m in fam])
+           for fam in _moore_families(len(vs))]
     return sorted(out, key=lambda r: sorted((tuple(sorted(xs)), y) for xs, y in r.pairs))
 
 
@@ -176,23 +181,15 @@ def represent_uniform(r: AbstractDependence, var_cap: int = 4) -> DependenceMode
     without_x = {x: [c for c in gamma if x not in c] for x in variables}
     class_index: Dict[Tuple[str, FrozenSet[FrozenSet[str]]], int] = {}
     rows = []
-    for n in range(len(gamma) + 1):
-        for combo in itertools.combinations(gamma, n):
-            fam = frozenset(combo)
-            row = []
-            for x in variables:
-                key = (x, frozenset(c for c in without_x[x] if c in fam))
-                idx = class_index.setdefault(key, len(class_index))
-                row.append(f"c:{x}:{idx}")
-            rows.append(row)
+    for fam in subsets(gamma):
+        row = []
+        for x in variables:
+            key = (x, frozenset(c for c in without_x[x] if c in fam))
+            idx = class_index.setdefault(key, len(class_index))
+            row.append(f"c:{x}:{idx}")
+        rows.append(row)
     # distinct families can induce identical assignments; the team is a set
-    uniq, seen = [], set()
-    for row in rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(row)
-    return model_from_rows(variables, uniq)
+    return model_from_rows(variables, list(dict.fromkeys(map(tuple, rows))))
 
 
 def represent_family(rs: Sequence[AbstractDependence]) -> DependenceModel:
@@ -222,13 +219,7 @@ def represent_family(rs: Sequence[AbstractDependence]) -> DependenceModel:
             s = comp.team[i]
             rows.append([f"c:{x}" if x in common else f"m{k}:{s[x]}"
                          for x in order])
-    uniq, seen = [], set()
-    for row in rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(row)
-    return model_from_rows(order, uniq)
+    return model_from_rows(order, list(dict.fromkeys(map(tuple, rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +278,14 @@ def parse_relations(text: str) -> List[AbstractDependence]:
 
 def closure_of_pairs(variables: FrozenSet[str],
                      pairs: Iterable[Pair]) -> AbstractDependence:
-    """Smallest axiom-satisfying relation containing the given pairs."""
-    vs = sorted(variables)
-    have = set(pairs)
-    for xs in _subsets(vs):
-        for x in xs:
-            have.add((xs, x))
-    changed = True
-    while changed:
-        changed = False
-        # monotonicity
-        for xs, y in list(have):
-            for zs in _subsets(vs):
-                if xs <= zs and (zs, y) not in have:
-                    have.add((zs, y))
-                    changed = True
-        # transitivity
-        for xs in _subsets(vs):
-            for ys in _subsets(vs):
-                if all((xs, y) in have for y in ys):
-                    for z in vs:
-                        if (ys, z) in have and (xs, z) not in have:
-                            have.add((xs, z))
-                            changed = True
-    return AbstractDependence(variables, frozenset(have))
+    """Smallest axiom-satisfying relation containing the given pairs: the one
+    whose closed sets are those X with y in X for every given (xs, y) with
+    xs inside X."""
+    # building the relation rejects pairs that name unknown variables
+    given = AbstractDependence(frozenset(variables), frozenset(pairs))
+    closed = [c for c in subsets(sorted(variables))
+              if all(y in c for xs, y in given.pairs if xs <= c)]
+    return relation_of_closure_operator(variables, closed)
 
 
 def dumps_relation(r: AbstractDependence) -> str:

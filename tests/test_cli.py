@@ -96,6 +96,12 @@ class TestDecisionVerbs:
         code, out, _ = run(capsys, "valid", "[learn x] D{y}z -> D{x,y}z")
         assert code == 0 and out == "valid\n"
 
+    def test_five_variables_refused_exit_three(self, capsys):
+        for verb in ("sat", "valid"):
+            code, out, err = run(capsys, verb, "D{a,b}c -> D{d}e")
+            assert code == 3 and out == ""
+            assert "limit of 4" in err and "Traceback" not in err
+
 
 class TestProveVerbs:
     def test_prove_and_tree(self, capsys, tmp_path):
@@ -215,6 +221,19 @@ class TestFiltrateConvert:
         path.write_text("kind standard\nvariables x y\nworld w0 w1\n"
                         "rel {y}: w0~w1\n")
         self._refused(capsys, 3, "convert", "--in", str(path))
+
+    def test_convert_unknown_directive_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bogus.rm"
+        path.write_text("kind standard\nvariables x\nbogus line\n"
+                        "world w0\nrel {x}: w0~w0\n")
+        self._refused(capsys, 2, "convert", "--in", str(path))
+
+    def test_filtrate_non_predicate_atom_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "dep-atom.rm"
+        path.write_text("kind general\nvariables x y\nworld w0\n"
+                        "rel {}: w0~w0\natom w0: D{x}y\n")
+        self._refused(capsys, 2, "filtrate", "--model", str(path),
+                      "--formula", "D{x}y")
 
     def test_filtrate_missing_file_exit_two(self, capsys, tmp_path):
         self._refused(capsys, 2, "filtrate", "--model",

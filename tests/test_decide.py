@@ -178,6 +178,12 @@ class TestValid:
         with pytest.raises(DecideError):
             valid(parse("I{x}{y}"))
 
+    def test_refuses_more_than_four_variables(self):
+        f = parse("D{a,b}c -> D{d}e")
+        for decide_fn in (sat, valid):
+            with pytest.raises(F.ClosureCapError, match="limit of 4"):
+                decide_fn(f)
+
 
 class TestAgainstBruteForce:
     def test_small_formulas_agree_with_model_search(self):

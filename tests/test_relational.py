@@ -87,18 +87,30 @@ class TestValidate:
                             "standard", relations, {}, atoms)
         assert validate(r) == [
             "atom condition: P('x',) at w0 but not at "
-            "frozenset({'x'})-equivalent w1",
+            "['x']-equivalent w1",
             "atom condition: P('x',) at w3 but not at "
-            "frozenset({'x'})-equivalent w2",
+            "['x']-equivalent w2",
             "atom condition: P('x',) at w4 but not at "
-            "frozenset({'x'})-equivalent w1",
+            "['x']-equivalent w1",
             "atom condition: P('y',) at w2 but not at "
-            "frozenset({'y'})-equivalent w1",
+            "['y']-equivalent w1",
             "atom condition: R('x', 'x') at w0 but not at "
-            "frozenset({'x'})-equivalent w1",
+            "['x']-equivalent w1",
             "atom condition: R('x', 'x') at w0 but not at "
-            "frozenset({'x'})-equivalent w4",
+            "['x']-equivalent w4",
         ]
+
+    def test_general_transfer_message_sorts_the_set(self):
+        # D{y,z}x holds at a but not at its {y,z}-equivalent b
+        yz = fs("y", "z")
+        proj = {(yz, "y"), (yz, "z")}
+        r = RelationalModel(("a", "b"), ("x", "y", "z"), "general",
+                            {fs(): {"a": 0, "b": 0}, yz: {"a": 0, "b": 0}},
+                            {"a": frozenset(proj | {(yz, "x")}),
+                             "b": frozenset(proj)}, {})
+        assert validate(r) == [
+            "(3) transfer fails: D['y', 'z']x at a but not at "
+            "['y', 'z']-equivalent b"]
 
     def test_standard_missing_relation_reported(self):
         r = RelationalModel(("w0", "w1"), ("x", "y"), "standard",

@@ -1,10 +1,12 @@
 """Abstract dependence relations: structural axioms, closures, and the three
 representation constructions."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import data_path
 from lfd import models as M
@@ -31,6 +33,30 @@ def projection_closure(variables):
 def chain_relation():
     # x -> y -> z, closed under the axioms
     return closure_of_pairs(fs("x", "y", "z"), [(fs("x"), "y"), (fs("y"), "z")])
+
+
+def brute_force_relations(vs):
+    """Reference enumeration: every intersection-closed family of subsets
+    holding the full set, read as a relation, sorted by its pairs."""
+    subs = [frozenset(c) for n in range(len(vs) + 1)
+            for c in itertools.combinations(vs, n)]
+    full = frozenset(vs)
+    rest = [s for s in subs if s != full]
+    out = set()
+    for n in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, n):
+            fam = set(combo) | {full}
+            if all((a & b) in fam for a in fam for b in fam):
+                out.add(frozenset(
+                    (xs, y) for xs in subs
+                    for y in full.intersection(*(c for c in fam if xs <= c))))
+    return [(full, pairs) for pairs in sorted(
+        out, key=lambda ps: sorted((tuple(sorted(xs)), y) for xs, y in ps))]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_relations(vs):
+    return enumerate_dependence_relations(vs)
 
 
 def global_pattern(m):
@@ -104,10 +130,29 @@ class TestEnumeration:
         assert len(enumerate_dependence_relations(("x",))) == 2
         assert len(enumerate_dependence_relations(("x", "y"))) == 7
         assert len(enumerate_dependence_relations(("x", "y", "z"))) == 61
+        assert len(enumerate_dependence_relations(("x", "y", "z", "w"))) == 2480
 
     def test_every_enumerated_relation_satisfies_axioms(self):
         for r in enumerate_dependence_relations(("x", "y")):
             assert check_structural(r).is_dependence_relation
+
+    @pytest.mark.parametrize("vs", [(), ("x",), ("x", "y"), ("x", "y", "z")])
+    def test_matches_brute_force_reference(self, vs):
+        got = enumerate_dependence_relations(vs)
+        assert [(r.variables, r.pairs) for r in got] == brute_force_relations(vs)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closure_of_pairs_is_the_least_relation(self, data):
+        vs = ("w", "x", "y", "z")[:data.draw(st.integers(1, 4))]
+        subs = [frozenset(c) for n in range(len(vs) + 1)
+                for c in itertools.combinations(vs, n)]
+        pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(subs), st.sampled_from(vs)), max_size=5))
+        containing = [r.pairs for r in cached_relations(vs)
+                      if set(pairs) <= r.pairs]
+        least = frozenset.intersection(*containing)
+        assert closure_of_pairs(frozenset(vs), pairs).pairs == least
 
 
 class TestRepresentGlobal:
@@ -193,6 +238,10 @@ class TestRelationFiles:
         r = chain_relation()
         again = parse_relations(dumps_relation(r))[0]
         assert again.pairs == r.pairs
+
+    def test_unknown_target_variable_rejected(self):
+        with pytest.raises(RelationError):
+            parse_relations("variables x y\ndep x -> q\n")
 
     def test_sections(self):
         text = ("variables x y\n"
