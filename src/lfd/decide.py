@@ -8,11 +8,12 @@ under the same-frame relation; any type model lies inside one cell and
 survives, and a surviving cell is itself a type model.  SAT answers carry a
 finite relational witness built from the surviving cell.
 
-The dependence-atom patterns of Hintikka sets are the relations that
-:func:`lfd.represent.enumerate_dependence_relations` enumerates.  Their
-number grows so fast (2480 at 4 variables, 1,385,552 at 5) that :func:`sat`
-and :func:`valid` refuse formulas over more than :data:`VARIABLE_LIMIT`
-variables with :class:`lfd.formulas.ClosureCapError`.
+Hintikka sets and variable sets are bitmasks.  The dependence-atom patterns
+of Hintikka sets are the closure tables of :func:`lfd.represent.closure_tables`.
+Their number grows so fast (2480 at 4 variables, 1,385,552 at 5) that
+:func:`hintikka_sets`, :func:`sat` and :func:`valid` refuse formulas over
+more than :data:`VARIABLE_LIMIT` variables with
+:class:`lfd.formulas.ClosureCapError`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import formulas as F
 from .models import DependenceModel, model_from_rows
 from .relational import RelationalModel
-from .represent import enumerate_dependence_relations
+from .represent import VARIABLE_LIMIT, closure_tables
 
-# sat/valid refuse formulas over more variables than this
-VARIABLE_LIMIT = 4
+# op codes of compiled closure positions
+_CHOICE, _DEP, _TOP, _BOT, _NOT, _AND, _BOX = range(7)
+_LEAF = {F.Pred: _CHOICE, F.Top: _TOP, F.Bot: _BOT}
 
 
 class DecideError(ValueError):
@@ -36,22 +38,44 @@ class DecideError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ClosureIndex:
-    """An ordered closure set with the masks used by the type machinery."""
+    """An ordered closure set with the masks used by the type machinery.
+    Each position compiles to ``(op, a, b)``: ``(_DEP, X mask, y)``, the
+    child positions of ``!``/``&``, or ``(_BOX, body, X mask)``."""
 
     formulas: Tuple[F.Formula, ...]
     variables: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_pos", {f: i for i, f in enumerate(self.formulas)})
-        object.__setattr__(self, "_free", tuple(F.free_vars(f) for f in self.formulas))
-        masks = {}
-        for xs in F.subsets(self.variables):
-            m = 0
-            for i, fr in enumerate(self._free):
-                if fr <= xs:
-                    m |= 1 << i
-            masks[xs] = m
-        object.__setattr__(self, "_free_mask", masks)
+        pos = {f: i for i, f in enumerate(self.formulas)}
+        index = {v: i for i, v in enumerate(self.variables)}
+        set_mask = {xs: sum(1 << index[v] for v in xs)
+                    for xs in F.subsets(self.variables)}
+        free = [set_mask[F.free_vars(f)] for f in self.formulas]
+        free_masks = [0] * len(set_mask)
+        for m in range(len(set_mask)):
+            for i, fr in enumerate(free):
+                if fr & m == fr:
+                    free_masks[m] |= 1 << i
+        ops = []
+        # per variable mask X, the (y, position) of each D{X}y
+        deps_at = [[] for _ in set_mask]
+        for i, f in enumerate(self.formulas):
+            if isinstance(f, F.DepAtom):
+                ops.append((_DEP, set_mask[f.xs], index[f.y]))
+                deps_at[set_mask[f.xs]].append((index[f.y], i))
+            elif isinstance(f, F.Not):
+                ops.append((_NOT, pos[f.body], 0))
+            elif isinstance(f, F.And):
+                ops.append((_AND, pos[f.left], pos[f.right]))
+            elif isinstance(f, F.Box):
+                ops.append((_BOX, pos[f.body], set_mask[f.xs]))
+            else:
+                ops.append((_LEAF[type(f)], 0, 0))
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_set_mask", set_mask)
+        object.__setattr__(self, "_free_masks", tuple(free_masks))
+        object.__setattr__(self, "_ops", tuple(ops))
+        object.__setattr__(self, "_deps_at", tuple(map(tuple, deps_at)))
 
     def position(self, f: F.Formula) -> int:
         try:
@@ -59,8 +83,11 @@ class ClosureIndex:
         except KeyError:
             raise DecideError(f"formula outside the closure set: {f!r}")
 
+    def set_mask(self, xs: frozenset) -> int:
+        return self._set_mask[frozenset(xs)]
+
     def free_mask(self, xs: frozenset) -> int:
-        return self._free_mask[frozenset(xs)]
+        return self._free_masks[self.set_mask(xs)]
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -87,9 +114,17 @@ class HintikkaSet:
         return frozenset(f for i, f in enumerate(self.phi.formulas)
                          if self.bits >> i & 1)
 
+    def dep_mask(self, m: int) -> int:
+        """Mask of the variables this set's atoms make depend on mask m."""
+        out = 0
+        for y, i in self.phi._deps_at[m]:
+            out |= (self.bits >> i & 1) << y
+        return out
+
     def dep_closure(self, xs: frozenset) -> frozenset:
-        return frozenset(y for y in self.phi.variables
-                         if self.contains(F.DepAtom(frozenset(xs), y)))
+        m = self.dep_mask(self.phi.set_mask(xs))
+        return frozenset(v for i, v in enumerate(self.phi.variables)
+                         if m >> i & 1)
 
 
 def dep_closure_syntactic(sigma: HintikkaSet, xs: frozenset) -> frozenset:
@@ -97,77 +132,83 @@ def dep_closure_syntactic(sigma: HintikkaSet, xs: frozenset) -> frozenset:
     return sigma.dep_closure(xs)
 
 
+def _sim_key(s: HintikkaSet, m: int) -> tuple:
+    # constant on same-frame classes under variable mask m, distinct across them
+    mask = s.phi._free_masks[s.dep_mask(m)]
+    return (mask, s.bits & mask)
+
+
 def sim(sigma: HintikkaSet, delta: HintikkaSet, xs: frozenset) -> bool:
     """Same-frame relation: agreement on formulas framed by sigma's closure."""
-    mask = sigma.phi.free_mask(sigma.dep_closure(xs))
-    return sigma.bits & mask == delta.bits & mask
+    mask, framed = _sim_key(sigma, sigma.phi.set_mask(xs))
+    return framed == delta.bits & mask
 
 
-def closure_index(fs, var_cap: int = 12) -> ClosureIndex:
-    phi = sorted(F.closure(fs, var_cap=var_cap), key=F.sort_key)
+def closure_index(fs) -> ClosureIndex:
+    phi = sorted(F.closure(fs), key=F.sort_key)
     vf = sorted({v for f in phi for v in F.all_vars(f)})
     return ClosureIndex(tuple(phi), tuple(vf))
 
 
 def hintikka_sets(phi: ClosureIndex) -> List[HintikkaSet]:
-    """All Hintikka sets for the closure, in a deterministic order."""
+    """All Hintikka sets for the closure, in a deterministic order; refuses
+    more than :data:`VARIABLE_LIMIT` variables with ``ClosureCapError``."""
+    tables = closure_tables(len(phi.variables))
     if len(phi) == 0:
         return [HintikkaSet(phi, 0)]
-    formulas = phi.formulas
-    # choice points: predicate atoms and boxes; everything else is derived
-    preds = [f for f in formulas if isinstance(f, (F.Pred, F.PredT))]
-    boxes = sorted((f for f in formulas if isinstance(f, F.Box)),
-                   key=lambda b: _depth(b))
+    ops = phi._ops
+    depth = [_depth(f) for f in phi.formulas]
+    by_depth = sorted(range(len(ops)), key=depth.__getitem__)
+    # a closure system fixes each D{X}y and its negation: atoms[m][c] holds
+    # those over variable mask m when the closure of m is c
+    neg = {a: i for i, (op, a, _) in enumerate(ops)
+           if op == _NOT and ops[a][0] == _DEP}
+    atoms = [[sum(1 << (i if c >> y & 1 else neg[i]) for y, i in deps)
+              for c in range(len(phi._deps_at))] for deps in phi._deps_at]
+    # choice points: predicate atoms and boxes; everything else is derived,
+    # bottom-up, by the steps (sorted by depth)
+    preds = [i for i in range(len(ops)) if ops[i][0] == _CHOICE]
+    steps = [(i,) + ops[i] for i in by_depth if ops[i][0] == _AND or
+             ops[i][0] == _NOT and ops[ops[i][1]][0] != _DEP]
+    # each box with its body and the number of steps below its depth
+    boxes = [(i, ops[i][1], sum(depth[j] < depth[i] for j, *_ in steps))
+             for i in by_depth if ops[i][0] == _BOX]
+    top = sum(1 << i for i in range(len(ops)) if ops[i][0] == _TOP)
+    # predicate choices in enumeration order: the first one varies slowest
+    pred_bits = [sum(1 << i for k, i in enumerate(reversed(preds)) if c >> k & 1)
+                 for c in range(1 << len(preds))]
+
+    def derive(bits: int, lo: int, hi: int) -> int:
+        for i, op, a, b in steps[lo:hi]:
+            if op == _NOT:
+                bits |= (~bits >> a & 1) << i
+            else:
+                bits |= (bits >> a & bits >> b & 1) << i
+        return bits
+
     out: List[HintikkaSet] = []
-    for rel in enumerate_dependence_relations(phi.variables):
-        rel_truth = {}
-        for f in formulas:
-            if isinstance(f, F.DepAtom):
-                rel_truth[f] = rel.holds(f.xs, f.y)
 
-        def assign(i_pred: int, i_box: int, truth: Dict[F.Formula, bool]):
-            if i_pred < len(preds):
-                f = preds[i_pred]
-                for val in (False, True):
-                    t2 = dict(truth)
-                    t2[f] = val
-                    assign(i_pred + 1, i_box, t2)
-                return
-            if i_box < len(boxes):
-                b = boxes[i_box]
-                body_true = _truth(b.body, truth)
-                options = (False, True) if body_true else (False,)
-                for val in options:
-                    t2 = dict(truth)
-                    t2[b] = val
-                    assign(i_pred, i_box + 1, t2)
-                return
-            bits = 0
-            for i, f in enumerate(formulas):
-                if _truth(f, truth):
-                    bits |= 1 << i
-            out.append(HintikkaSet(phi, bits))
+    def choose(k: int, bits: int, done: int) -> None:
+        if k == len(boxes):
+            out.append(HintikkaSet(phi, derive(bits, done, len(steps))))
+            return
+        i, body, ready = boxes[k]
+        bits = derive(bits, done, ready)
+        choose(k + 1, bits, ready)
+        if bits >> body & 1:
+            choose(k + 1, bits | 1 << i, ready)
 
-        assign(0, 0, dict(rel_truth))
+    for cl in tables:
+        bits = top
+        for m, c in enumerate(cl):
+            bits |= atoms[m][c]
+        for p in pred_bits:
+            choose(0, bits | p, 0)
     return out
 
 
 def _depth(f: F.Formula) -> int:
     return 1 + max((_depth(c) for c in F.children(f)), default=0)
-
-
-def _truth(f: F.Formula, choice: Dict[F.Formula, bool]) -> bool:
-    if f in choice:
-        return choice[f]
-    if isinstance(f, F.Top):
-        return True
-    if isinstance(f, F.Bot):
-        return False
-    if isinstance(f, F.Not):
-        return not _truth(f.body, choice)
-    if isinstance(f, F.And):
-        return _truth(f.left, choice) and _truth(f.right, choice)
-    raise DecideError(f"unassigned atom in closure: {f!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,34 +265,21 @@ class ValidityResult:
     stats: Dict[str, int]
 
 
-def _sim_key(phi: ClosureIndex, s: HintikkaSet, xs: frozenset) -> tuple:
-    # constant on same-frame classes and distinct across them
-    mask = phi.free_mask(s.dep_closure(xs))
-    return (mask, s.bits & mask)
-
-
 def _surviving_cells(phi: ClosureIndex, sets: List[HintikkaSet]):
-    boxes = [f for f in phi.formulas if isinstance(f, F.Box)]
+    # each box as (position, X mask, body position)
+    boxes = [(i, m, body) for i, (op, body, m) in enumerate(phi._ops)
+             if op == _BOX]
     cells: Dict[tuple, List[HintikkaSet]] = {}
     for s in sets:
-        cells.setdefault(_sim_key(phi, s, frozenset()), []).append(s)
+        cells.setdefault(_sim_key(s, 0), []).append(s)
     key_cache: Dict[tuple, tuple] = {}
-    body_cache: Dict[tuple, bool] = {}
 
-    def skey(s: HintikkaSet, b: F.Box) -> tuple:
-        k = (s.bits, b.xs)
+    def skey(s: HintikkaSet, m: int) -> tuple:
+        k = (s.bits, m)
         out = key_cache.get(k)
         if out is None:
-            out = _sim_key(phi, s, b.xs)
+            out = _sim_key(s, m)
             key_cache[k] = out
-        return out
-
-    def body_false(s: HintikkaSet, b: F.Box) -> bool:
-        k = (s.bits, id(b))
-        out = body_cache.get(k)
-        if out is None:
-            out = not s.truth(b.body)
-            body_cache[k] = out
         return out
 
     rounds = 0
@@ -262,22 +290,12 @@ def _surviving_cells(phi: ClosureIndex, sets: List[HintikkaSet]):
         while changed:
             rounds += 1
             changed = False
-            # per modality, count the witnesses in each same-frame class
-            witnesses = []
-            for b in boxes:
-                counts: Dict[tuple, int] = {}
-                for s in fam:
-                    if body_false(s, b):
-                        k = skey(s, b)
-                        counts[k] = counts.get(k, 0) + 1
-                witnesses.append(counts)
-            keep = []
-            for sigma in fam:
-                ok = all(sigma.contains(b) or
-                         witnesses[i].get(skey(sigma, b), 0) > 0
-                         for i, b in enumerate(boxes))
-                if ok:
-                    keep.append(sigma)
+            # per modality, the same-frame classes holding a witness
+            witnesses = [{skey(s, m) for s in fam if not s.bits >> body & 1}
+                         for _, m, body in boxes]
+            keep = [sigma for sigma in fam
+                    if all(sigma.bits >> i & 1 or skey(sigma, m) in wit
+                           for (i, m, _), wit in zip(boxes, witnesses))]
             if len(keep) != len(fam):
                 changed = True
                 fam = keep
@@ -290,22 +308,19 @@ def _witness_model(phi: ClosureIndex, fam: List[HintikkaSet]) -> RelationalModel
     worlds = tuple(f"w{i}" for i in range(len(fam)))
     relations = {}
     for xs in F.subsets(phi.variables):
+        m = phi.set_mask(xs)
         ids: Dict[tuple, int] = {}
-        rel = {}
-        for w, sigma in zip(worlds, fam):
-            mask = phi.free_mask(sigma.dep_closure(xs))
-            key = (mask, sigma.bits & mask)
-            rel[w] = ids.setdefault(key, len(ids))
-        relations[frozenset(xs)] = rel
+        relations[xs] = {w: ids.setdefault(_sim_key(sigma, m), len(ids))
+                         for w, sigma in zip(worlds, fam)}
+    deps = [(i, (f.xs, f.y)) for i, f in enumerate(phi.formulas)
+            if isinstance(f, F.DepAtom)]
+    preds = [(i, (f.name, f.args)) for i, f in enumerate(phi.formulas)
+             if isinstance(f, F.Pred)]
     dep_atoms = {}
     pred_atoms = {}
     for w, sigma in zip(worlds, fam):
-        dep_atoms[w] = frozenset(
-            (f.xs, f.y) for f in phi.formulas
-            if isinstance(f, F.DepAtom) and sigma.contains(f))
-        pred_atoms[w] = frozenset(
-            (f.name, f.args) for f in phi.formulas
-            if isinstance(f, F.Pred) and sigma.contains(f))
+        dep_atoms[w] = frozenset(a for i, a in deps if sigma.bits >> i & 1)
+        pred_atoms[w] = frozenset(a for i, a in preds if sigma.bits >> i & 1)
     return RelationalModel(worlds, phi.variables, "general", relations,
                            dep_atoms, pred_atoms)
 
@@ -325,10 +340,12 @@ def sat(phi_formula: F.Formula) -> DecisionResult:
     sets = hintikka_sets(phi)
     survivors, rounds = _surviving_cells(phi, sets)
     stats = {"hintikka_sets": len(sets), "elimination_rounds": rounds,
-             "closure_size": len(phi)}
+             "closure_size": len(phi),
+             "relations": len(closure_tables(len(phi.variables)))}
+    goal = phi.position(f)
     for fam in survivors:
         for i, sigma in enumerate(fam):
-            if sigma.truth(f):
+            if sigma.bits >> goal & 1:
                 return DecisionResult("sat", _witness_model(phi, fam),
                                       f"w{i}", stats)
     return DecisionResult("unsat", None, None, stats)

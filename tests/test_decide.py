@@ -10,6 +10,7 @@ from helpers import ex27_model, random_base_formula, random_model
 from lfd import checker
 from lfd import formulas as F
 from lfd import relational
+from lfd import represent
 from lfd.decide import (DecideError, HintikkaSet, TypeModel, closure_index,
                         dep_closure_syntactic, hintikka_sets, is_type_model,
                         realize_bounded, sat, sim, type_model_of, valid)
@@ -50,6 +51,12 @@ class TestHintikkaSets:
         phi = closure_index([])
         assert len(hintikka_sets(phi)) == 1
 
+    def test_refuses_more_than_four_variables(self):
+        # closure_index accepts five variables; the enumeration must refuse
+        phi = closure_index([parse("D{a,b}c -> D{d}e")])
+        with pytest.raises(F.ClosureCapError, match="limit of 4"):
+            hintikka_sets(phi)
+
     def test_dependence_transitivity_inside_sets(self):
         phi = closure_index([parse("D{x}y & D{y}z")])
         vs = phi.variables
@@ -62,6 +69,73 @@ class TestHintikkaSets:
                         for z in vs:
                             if s.contains(F.DepAtom(ys, z)):
                                 assert s.contains(F.DepAtom(xs, z))
+
+
+def depth(f):
+    return 1 + max((depth(c) for c in F.children(f)), default=0)
+
+
+def reference_hintikka_sets(phi):
+    """The Hintikka sets by the original formula-level enumeration: every
+    enumerated relation, then every predicate choice, then every box choice
+    (innermost first) whose body allows it, with truth read off a dict."""
+    if len(phi) == 0:
+        return [0]
+    preds = [f for f in phi.formulas if isinstance(f, F.Pred)]
+    boxes = sorted((f for f in phi.formulas if isinstance(f, F.Box)),
+                   key=depth)
+
+    def truth(f, choice):
+        if f in choice:
+            return choice[f]
+        if isinstance(f, F.Top):
+            return True
+        if isinstance(f, F.Bot):
+            return False
+        if isinstance(f, F.Not):
+            return not truth(f.body, choice)
+        if isinstance(f, F.And):
+            return truth(f.left, choice) and truth(f.right, choice)
+        raise AssertionError(f"unassigned atom {f!r}")
+
+    out = []
+
+    def assign(i_pred, i_box, choice):
+        if i_pred < len(preds):
+            for val in (False, True):
+                assign(i_pred + 1, i_box, {**choice, preds[i_pred]: val})
+        elif i_box < len(boxes):
+            b = boxes[i_box]
+            for val in (False, True) if truth(b.body, choice) else (False,):
+                assign(i_pred, i_box + 1, {**choice, b: val})
+        else:
+            out.append(sum(1 << i for i, f in enumerate(phi.formulas)
+                           if truth(f, choice)))
+
+    for rel in represent.enumerate_dependence_relations(phi.variables):
+        assign(0, 0, {f: rel.holds(f.xs, f.y) for f in phi.formulas
+                      if isinstance(f, F.DepAtom)})
+    return out
+
+
+class TestAgainstReferenceEnumeration:
+    def test_random_formulas_same_sets_in_same_order(self):
+        rng = random.Random(64)
+        for k in range(45):
+            vs = ("x", "y", "z")[:1 + k % 3]
+            f = random_base_formula(rng, vs, 3 if len(vs) < 3 else 2)
+            phi = closure_index([f])
+            assert [s.bits for s in hintikka_sets(phi)] == \
+                reference_hintikka_sets(phi), f
+
+    @pytest.mark.parametrize("text", [
+        "!(D{x}y & D{y}z & D{z}w -> D{x}w)",
+        "!(D{x}y & D{z}w -> D{x,z}{y,w})",
+        "D{x}y & !D{y}x & D{z,w}x"])
+    def test_four_variable_formulas_same_sets_in_same_order(self, text):
+        phi = closure_index([F.desugar(parse(text))])
+        assert [s.bits for s in hintikka_sets(phi)] == \
+            reference_hintikka_sets(phi)
 
 
 class TestDepClosureSyntactic:
@@ -156,6 +230,11 @@ class TestSat:
         r = sat(parse("P(x)"))
         assert r.stats["hintikka_sets"] > 0
         assert r.stats["closure_size"] == 6
+        # closure systems over one variable: {x} alone, or with {}
+        assert r.stats["relations"] == 2
+
+    def test_relations_counted_for_validity(self):
+        assert valid(parse("D{x}y -> D{x,z}y")).stats["relations"] == 61
 
 
 class TestValid:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import data_path
 from lfd import models as M
+from lfd.formulas import ClosureCapError
 from lfd.represent import (AbstractDependence, RelationError, check_structural,
                            closure_of_pairs, dumps_relation,
                            enumerate_dependence_relations, parse_relations,
@@ -131,6 +132,23 @@ class TestEnumeration:
         assert len(enumerate_dependence_relations(("x", "y"))) == 7
         assert len(enumerate_dependence_relations(("x", "y", "z"))) == 61
         assert len(enumerate_dependence_relations(("x", "y", "z", "w"))) == 2480
+
+    def test_fresh_list_per_call(self):
+        vs = ("x", "y", "z", "w")
+        first = enumerate_dependence_relations(vs)
+        want = list(first)
+        first.clear()
+        again = enumerate_dependence_relations(vs)
+        assert again == want
+        assert len({r.pairs for r in again}) == 2480
+
+        def key(r):
+            return sorted((tuple(sorted(xs)), y) for xs, y in r.pairs)
+        assert [key(r) for r in again] == sorted(key(r) for r in again)
+
+    def test_refuses_more_than_four_variables(self):
+        with pytest.raises(ClosureCapError, match="limit of 4"):
+            enumerate_dependence_relations(("a", "b", "c", "d", "e"))
 
     def test_every_enumerated_relation_satisfies_axioms(self):
         for r in enumerate_dependence_relations(("x", "y")):
