@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from helpers import ex27_model, random_base_formula, random_model
+from helpers import (ex27_model, random_base_formula, random_model,
+                     random_varset)
 from lfd import checker
 from lfd import formulas as F
 from lfd import relational
@@ -348,3 +349,48 @@ class TestTypeModels:
         t = TypeModel(phi, tuple(hintikka_sets(phi)[:1]))
         with pytest.raises(DecideError):
             realize_bounded(t, 0)
+
+    def test_same_answer_as_reference_check(self):
+        # sub-families of all Hintikka sets, half of them inside one
+        # empty-set frame class, and sub-families of realized types
+        rng = random.Random(64)
+        answers = []
+        for vs in [("x", "y")] * 60 + [("x", "y", "z")] * 15:
+            f = F.And(random_base_formula(rng, vs, rng.randint(0, 2)),
+                      F.Box(random_varset(rng, vs),
+                            random_base_formula(rng, vs, rng.randint(0, 1))))
+            phi = closure_index([f])
+            sets = hintikka_sets(phi)
+            realized = type_model_of(random_model(rng, vs, max_rows=8),
+                                     phi).family
+            for k in range(12):
+                pool = sets
+                if k % 2:
+                    pivot = rng.choice(sets)
+                    pool = [d for d in sets if sim(pivot, d, fs())]
+                if k % 4 == 3:
+                    pool = realized
+                fam = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+                want = reference_is_type_model(phi, fam)
+                assert is_type_model(phi, fam) == want, (f, fam)
+                answers.append(want)
+            assert is_type_model(phi, realized)
+        assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def reference_is_type_model(phi, family):
+    """The type-model check as first written: one same-frame class under the
+    empty set, and a witness for every lacking box, by pairwise ``sim``."""
+    fam = list(family)
+    for a, b in itertools.product(fam, repeat=2):
+        if not sim(a, b, frozenset()):
+            return False
+    boxes = [f for f in phi.formulas if isinstance(f, F.Box)]
+    for sigma in fam:
+        for b in boxes:
+            if sigma.contains(b):
+                continue
+            if not any(sim(sigma, delta, b.xs) and not delta.truth(b.body)
+                       for delta in fam):
+                return False
+    return True

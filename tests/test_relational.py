@@ -292,6 +292,65 @@ class TestFiltrate:
         out = filtrate(r, parse("D{Food}Price"))
         assert len(out.worlds) <= len(r.worlds)
 
+    def test_same_text_as_reference_filtration(self):
+        # standard inputs from 2- and 3-variable teams, and general inputs:
+        # each quotient filtrated again by a second formula
+        rng = random.Random(97)
+
+        def formula(vs):
+            return F.And(random_base_formula(rng, vs, rng.randint(1, 2)),
+                         random_base_formula(rng, vs, rng.randint(0, 2)))
+
+        for vs, n_models in ((("x", "y"), 60), (("x", "y", "z"), 30)):
+            for _ in range(n_models):
+                r = rel_of(random_model(rng, vs, max_objects=5, max_rows=30))
+                f = formula(vs)
+                out = filtrate(r, f)
+                # a second formula over the variables the quotient keeps
+                g = formula(out.variables)
+                assert dumps_relational(out) == \
+                    dumps_relational(reference_filtrate(r, f)), f
+                assert dumps_relational(filtrate(out, g)) == \
+                    dumps_relational(reference_filtrate(out, g)), (f, g)
+
+
+def reference_filtrate(r, phi):
+    """The filtration as first written: truth profiles grouped in order of
+    first occurrence, with =X classes keyed by the profile bits framed by
+    each class's dependence atoms."""
+    phi_set = sorted(F.closure([phi]), key=F.sort_key)
+    vf = sorted({v for f in phi_set for v in F.all_vars(f)})
+    profile_of = {w: tuple(eval_rel(r, w, g) for g in phi_set)
+                  for w in r.worlds}
+    classes = {}
+    rep = {}
+    for w in r.worlds:
+        p = profile_of[w]
+        if p not in classes:
+            classes[p] = f"c{len(classes)}"
+            rep[classes[p]] = w
+    worlds = tuple(classes.values())
+    dep_atoms = {}
+    pred_atoms = {}
+    for c in worlds:
+        held = [f for f, t in zip(phi_set, profile_of[rep[c]]) if t]
+        dep_atoms[c] = frozenset(
+            (f.xs, f.y) for f in held if isinstance(f, F.DepAtom))
+        pred_atoms[c] = frozenset(
+            (f.name, f.args) for f in held if isinstance(f, F.Pred))
+    relations = {}
+    for xs in F.subsets(vf):
+        keys = {}
+        for c in worlds:
+            frame = {y for (us, y) in dep_atoms[c] if us == xs}
+            keys[c] = tuple((i, profile_of[rep[c]][i])
+                            for i, f in enumerate(phi_set)
+                            if F.free_vars(f) <= frame)
+        ids = {}
+        relations[xs] = {c: ids.setdefault(keys[c], len(ids)) for c in worlds}
+    return RelationalModel(worlds, tuple(vf), "general", relations, dep_atoms,
+                           pred_atoms)
+
 
 class TestTextFormat:
     def test_round_trip(self):
