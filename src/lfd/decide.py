@@ -6,7 +6,9 @@ decided by partitioning all Hintikka sets into constant-profile cells and
 eliminating, per cell, every set whose existential members lack a witness
 under the same-frame relation; any type model lies inside one cell and
 survives, and a surviving cell is itself a type model.  SAT answers carry a
-finite relational witness built from the surviving cell.
+finite relational witness built from the surviving cell by
+:func:`witness_model`, which also builds the quotients of
+:func:`lfd.relational.filtrate`.
 
 Hintikka sets and variable sets are bitmasks.  The dependence-atom patterns
 of Hintikka sets are the closure tables of :func:`lfd.represent.closure_tables`.
@@ -18,7 +20,6 @@ more than :data:`VARIABLE_LIMIT` variables with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -218,35 +219,20 @@ class TypeModel:
 
 
 def is_type_model(phi: ClosureIndex, family: Sequence[HintikkaSet]) -> bool:
+    """One same-frame class under the empty set, in which every lacking box
+    has a witness."""
     fam = list(family)
-    for a, b in itertools.product(fam, repeat=2):
-        if not sim(a, b, frozenset()):
-            return False
-    boxes = [f for f in phi.formulas if isinstance(f, F.Box)]
-    for sigma in fam:
-        for b in boxes:
-            if sigma.contains(b):
-                continue
-            # E_X !body demands a witness where the body fails
-            if not any(sim(sigma, delta, b.xs) and not delta.truth(b.body)
-                       for delta in fam):
-                return False
-    return True
+    return (len({_sim_key(s, 0) for s in fam}) <= 1
+            and len(_witnessed(phi, fam)) == len(fam))
 
 
 def type_model_of(m: DependenceModel, phi: ClosureIndex) -> TypeModel:
     """The family of formula types realized by a dependence model's team."""
     from .checker import Evaluator
     ev = Evaluator(m)
-    seen = {}
-    for i in range(len(m.team)):
-        bits = 0
-        for k, f in enumerate(phi.formulas):
-            if ev.eval(i, f):
-                bits |= 1 << k
-        seen[bits] = HintikkaSet(phi, bits)
-    fam = tuple(seen[b] for b in sorted(seen))
-    return TypeModel(phi, fam)
+    types = {sum(ev.eval(i, f) << k for k, f in enumerate(phi.formulas))
+             for i in range(len(m.team))}
+    return TypeModel(phi, tuple(HintikkaSet(phi, t) for t in sorted(types)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,64 +251,62 @@ class ValidityResult:
     stats: Dict[str, int]
 
 
+def _witnessed(phi: ClosureIndex, fam: List[HintikkaSet]) -> List[HintikkaSet]:
+    """The sets of fam in which every lacking box{X}body has a witness in
+    fam: a set that lacks body and shares their same-frame class under X.  On
+    Hintikka sets, Projection makes ``sim`` the equality of ``_sim_key``, and
+    a set lacking body lacks the box."""
+    unwitnessed = set()
+    for i, (op, body, m) in enumerate(phi._ops):
+        if op == _BOX:
+            lacking = {s.bits: _sim_key(s, m) for s in fam
+                       if not s.bits >> i & 1}
+            wit = {key for bits, key in lacking.items() if not bits >> body & 1}
+            unwitnessed.update(bits for bits, key in lacking.items()
+                               if key not in wit)
+    return [s for s in fam if s.bits not in unwitnessed]
+
+
 def _surviving_cells(phi: ClosureIndex, sets: List[HintikkaSet]):
-    # each box as (position, X mask, body position)
-    boxes = [(i, m, body) for i, (op, body, m) in enumerate(phi._ops)
-             if op == _BOX]
     cells: Dict[tuple, List[HintikkaSet]] = {}
     for s in sets:
         cells.setdefault(_sim_key(s, 0), []).append(s)
-    key_cache: Dict[tuple, tuple] = {}
-
-    def skey(s: HintikkaSet, m: int) -> tuple:
-        k = (s.bits, m)
-        out = key_cache.get(k)
-        if out is None:
-            out = _sim_key(s, m)
-            key_cache[k] = out
-        return out
-
     rounds = 0
     survivors: List[List[HintikkaSet]] = []
-    for key in sorted(cells):
-        fam = cells[key]
-        changed = True
-        while changed:
+    for _, fam in sorted(cells.items()):
+        keep = _witnessed(phi, fam)
+        rounds += 1
+        while len(keep) < len(fam):
+            fam, keep = keep, _witnessed(phi, keep)
             rounds += 1
-            changed = False
-            # per modality, the same-frame classes holding a witness
-            witnesses = [{skey(s, m) for s in fam if not s.bits >> body & 1}
-                         for _, m, body in boxes]
-            keep = [sigma for sigma in fam
-                    if all(sigma.bits >> i & 1 or skey(sigma, m) in wit
-                           for (i, m, _), wit in zip(boxes, witnesses))]
-            if len(keep) != len(fam):
-                changed = True
-                fam = keep
         if fam:
             survivors.append(fam)
     return survivors, rounds
 
 
-def _witness_model(phi: ClosureIndex, fam: List[HintikkaSet]) -> RelationalModel:
-    worlds = tuple(f"w{i}" for i in range(len(fam)))
+def witness_model(phi: ClosureIndex, family: Sequence[HintikkaSet],
+                  prefix: str) -> RelationalModel:
+    """The general relational model of a family of Hintikka sets: one world
+    per set, named prefix + index, holding the set's dependence and predicate
+    atoms; =X relates the worlds in one same-frame class under X."""
+    worlds = tuple(f"{prefix}{i}" for i in range(len(family)))
     relations = {}
     for xs in F.subsets(phi.variables):
         m = phi.set_mask(xs)
         ids: Dict[tuple, int] = {}
         relations[xs] = {w: ids.setdefault(_sim_key(sigma, m), len(ids))
-                         for w, sigma in zip(worlds, fam)}
+                         for w, sigma in zip(worlds, family)}
     deps = [(i, (f.xs, f.y)) for i, f in enumerate(phi.formulas)
             if isinstance(f, F.DepAtom)]
     preds = [(i, (f.name, f.args)) for i, f in enumerate(phi.formulas)
              if isinstance(f, F.Pred)]
-    dep_atoms = {}
-    pred_atoms = {}
-    for w, sigma in zip(worlds, fam):
-        dep_atoms[w] = frozenset(a for i, a in deps if sigma.bits >> i & 1)
-        pred_atoms[w] = frozenset(a for i, a in preds if sigma.bits >> i & 1)
+
+    def held(atoms):
+        return {w: frozenset(a for i, a in atoms if sigma.bits >> i & 1)
+                for w, sigma in zip(worlds, family)}
+
     return RelationalModel(worlds, phi.variables, "general", relations,
-                           dep_atoms, pred_atoms)
+                           held(deps), held(preds))
 
 
 def sat(phi_formula: F.Formula) -> DecisionResult:
@@ -346,7 +330,7 @@ def sat(phi_formula: F.Formula) -> DecisionResult:
     for fam in survivors:
         for i, sigma in enumerate(fam):
             if sigma.bits >> goal & 1:
-                return DecisionResult("sat", _witness_model(phi, fam),
+                return DecisionResult("sat", witness_model(phi, fam, "w"),
                                       f"w{i}", stats)
     return DecisionResult("unsat", None, None, stats)
 

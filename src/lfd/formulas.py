@@ -562,7 +562,11 @@ def subsets(vs) -> Iterator[frozenset]:
             yield frozenset(combo)
 
 
-def closure(fs: Iterable[Formula], var_cap: int = 12) -> frozenset:
+# closure sets are exponential in the variables; `closure` stops at this many
+CLOSURE_VARIABLE_LIMIT = 12
+
+
+def closure(fs: Iterable[Formula]) -> frozenset:
     """Closure set for the given base formulas.
 
     Adds every singleton-headed dependence atom over the occurring variables,
@@ -580,9 +584,9 @@ def closure(fs: Iterable[Formula], var_cap: int = 12) -> frozenset:
     vf: set = set()
     for g in seed:
         vf |= all_vars(g)
-    if len(vf) > var_cap:
-        raise ClosureCapError(
-            f"{len(vf)} variables exceed the closure cap of {var_cap}")
+    if len(vf) > CLOSURE_VARIABLE_LIMIT:
+        raise ClosureCapError(f"{len(vf)} variables exceed the closure cap "
+                              f"of {CLOSURE_VARIABLE_LIMIT}")
     vs = tuple(sorted(vf))
     out: set = set()
     for g in seed:

@@ -63,6 +63,14 @@ def sequent(left: Iterable[F.Formula], right: Iterable[F.Formula]) -> Sequent:
     return (_prepare_side(left), _prepare_side(right))
 
 
+def _as_sequent(goal) -> Sequent:
+    # sides that are not frozensets, as parse_sequent returns, go through sequent
+    left, right = goal
+    if type(left) is frozenset and type(right) is frozenset:
+        return goal
+    return sequent(left, right)
+
+
 def _vars_of(seq: Sequent) -> FrozenSet[str]:
     out: Set[str] = set()
     for f in seq[0] | seq[1]:
@@ -92,13 +100,14 @@ class Prover:
     # -- public API
 
     def prove(self, goal: Sequent) -> Optional[ProofTree]:
+        goal = _as_sequent(goal)
         ok, _ = self._search(goal, set())
         if not ok:
             return None
         return self._build_tree(goal)
 
     def proves(self, goal: Sequent) -> bool:
-        ok, _ = self._search(goal, set())
+        ok, _ = self._search(_as_sequent(goal), set())
         return ok
 
     # -- search

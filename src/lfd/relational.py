@@ -6,7 +6,8 @@ intersections) and read dependence atoms off the relations; general models
 store relations per listed variable set and a per-world dependence-atom
 valuation.  The bridges ``rel_of``/``dep_of`` connect them with dependence
 models, ``unravel`` turns a general model into a standard one up to a depth
-bound, and ``filtrate`` quotients a model by a closure set.
+bound, and ``filtrate`` quotients a model by a closure set with the witness
+builder of :mod:`lfd.decide`.
 
 A ``RelationalModel`` lazily fills a partition index derived from its
 relations: for each variable set X that a query needs, each world's =_X class
@@ -367,46 +368,19 @@ def last_world_map(r: RelationalModel, w0: str, depth: int) -> Dict[str, str]:
 
 
 def filtrate(r: RelationalModel, phi: F.Formula) -> RelationalModel:
-    """Quotient by agreement on the closure set of phi (dependent filtration).
-
-    Worlds are truth-profile classes; two classes are =_X-related when their
-    representatives agree on every closure formula whose free variables all
-    depend on X at the representative.  The result is a general model of at
-    most 2^|closure| worlds satisfying the same closure formulas.
-    """
-    phi_set = sorted(F.closure([phi]), key=F.sort_key)
-    vf = sorted({v for f in phi_set for v in F.all_vars(f)})
-    bodies = [_base(f) for f in phi_set]
-    profile_of = {w: tuple(_eval(r, w, g) for g in bodies) for w in r.worlds}
-    classes: Dict[tuple, str] = {}
-    rep: Dict[str, str] = {}
-    for w in r.worlds:
-        p = profile_of[w]
-        if p not in classes:
-            classes[p] = f"c{len(classes)}"
-            rep[classes[p]] = w
-    worlds = tuple(sorted(classes.values(), key=lambda c: int(c[1:])))
-    dep_atoms = {}
-    pred_atoms = {}
-    for c in worlds:
-        held = [f for f, t in zip(phi_set, profile_of[rep[c]]) if t]
-        dep_atoms[c] = frozenset(
-            (f.xs, f.y) for f in held if isinstance(f, F.DepAtom))
-        pred_atoms[c] = frozenset(
-            (f.name, f.args) for f in held if isinstance(f, F.Pred))
-    free_of = {f: F.free_vars(f) for f in phi_set}
-    relations = {}
-    for xs in F.subsets(vf):
-        keys = {}
-        for c in worlds:
-            w = rep[c]
-            frame = {y for (us, y) in dep_atoms[c] if us == xs}
-            keys[c] = tuple((i, profile_of[w][i]) for i, f in enumerate(phi_set)
-                            if free_of[f] <= frame)
-        ids: Dict[tuple, int] = {}
-        relations[xs] = {c: ids.setdefault(keys[c], len(ids)) for c in worlds}
-    return RelationalModel(worlds, tuple(vf), "general", relations, dep_atoms,
-                           pred_atoms)
+    """Quotient by agreement on the closure set of phi (dependent filtration):
+    the witness model (:func:`lfd.decide.witness_model`) of the closure types
+    the worlds of r realise, as worlds c0, c1, ... in order of first
+    occurrence.  Two classes are =_X-related when they agree on every closure
+    formula whose free variables all depend on X at them; the result is a
+    general model of at most 2^|closure| worlds satisfying the same closure
+    formulas."""
+    from .decide import HintikkaSet, closure_index, witness_model
+    index = closure_index([phi])
+    types = dict.fromkeys(
+        sum(_eval(r, w, f) << i for i, f in enumerate(index.formulas))
+        for w in r.worlds)
+    return witness_model(index, [HintikkaSet(index, t) for t in types], "c")
 
 
 # ---------------------------------------------------------------------------

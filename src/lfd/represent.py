@@ -201,7 +201,11 @@ def represent_global(r: AbstractDependence) -> DependenceModel:
     return model_from_rows(variables, rows)
 
 
-def represent_uniform(r: AbstractDependence, var_cap: int = 4) -> DependenceModel:
+# the uniform representation has up to 2^(2^n) rows; it stops at this n
+UNIFORM_VARIABLE_LIMIT = 4
+
+
+def represent_uniform(r: AbstractDependence) -> DependenceModel:
     """A model in which every local dependence relation equals r.
 
     One assignment per family of R-closed sets; values are equivalence
@@ -211,9 +215,9 @@ def represent_uniform(r: AbstractDependence, var_cap: int = 4) -> DependenceMode
     At most 2^(2^|V|) rows.
     """
     _require_axioms(r)
-    if len(r.variables) > var_cap:
-        raise RelationError(
-            f"uniform representation capped at {var_cap} variables")
+    if len(r.variables) > UNIFORM_VARIABLE_LIMIT:
+        raise RelationError(f"uniform representation capped at "
+                            f"{UNIFORM_VARIABLE_LIMIT} variables")
     variables = tuple(sorted(r.variables))
     gamma = closed_sets(r)
     without_x = {x: [c for c in gamma if x not in c] for x in variables}

@@ -155,6 +155,20 @@ class TestProve:
         with pytest.raises(P.ProofError):
             P.sequent([parse("I{x}{y}")], [])
 
+    def test_parsed_sequent_accepted(self):
+        goal = parse_sequent("P(x) => P(x)")
+        assert P.proves(goal)
+        tree = P.prove(goal)
+        assert tree.conclusion == seq("P(x) => P(x)")
+        assert not P.proves(parse_sequent("D{x}y => D{y}x"))
+
+    def test_parsed_sequent_with_non_base_side_refused(self):
+        goal = parse_sequent("I{x}{y} => P(x)")
+        with pytest.raises(P.ProofError):
+            P.proves(goal)
+        with pytest.raises(P.ProofError):
+            P.prove(goal)
+
     def test_soundness_on_random_models(self):
         rng = random.Random(72)
         pv = P.Prover()
