@@ -52,11 +52,8 @@ class ClosureIndex:
         set_mask = {xs: sum(1 << index[v] for v in xs)
                     for xs in F.subsets(self.variables)}
         free = [set_mask[F.free_vars(f)] for f in self.formulas]
-        free_masks = [0] * len(set_mask)
-        for m in range(len(set_mask)):
-            for i, fr in enumerate(free):
-                if fr & m == fr:
-                    free_masks[m] |= 1 << i
+        free_masks = [sum(1 << i for i, fr in enumerate(free) if fr & m == fr)
+                      for m in range(len(set_mask))]
         ops = []
         # per variable mask X, the (y, position) of each D{X}y
         deps_at = [[] for _ in set_mask]
@@ -77,6 +74,9 @@ class ClosureIndex:
         object.__setattr__(self, "_free_masks", tuple(free_masks))
         object.__setattr__(self, "_ops", tuple(ops))
         object.__setattr__(self, "_deps_at", tuple(map(tuple, deps_at)))
+        # each box as (position, X mask, body position)
+        object.__setattr__(self, "_boxes", tuple(
+            (i, m, body) for i, (op, body, m) in enumerate(ops) if op == _BOX))
 
     def position(self, f: F.Formula) -> int:
         try:
@@ -256,15 +256,17 @@ def _witnessed(phi: ClosureIndex, fam: List[HintikkaSet]) -> List[HintikkaSet]:
     fam: a set that lacks body and shares their same-frame class under X.  On
     Hintikka sets, Projection makes ``sim`` the equality of ``_sim_key``, and
     a set lacking body lacks the box."""
-    unwitnessed = set()
-    for i, (op, body, m) in enumerate(phi._ops):
-        if op == _BOX:
-            lacking = {s.bits: _sim_key(s, m) for s in fam
-                       if not s.bits >> i & 1}
-            wit = {key for bits, key in lacking.items() if not bits >> body & 1}
-            unwitnessed.update(bits for bits, key in lacking.items()
-                               if key not in wit)
-    return [s for s in fam if s.bits not in unwitnessed]
+    dropped = set()
+    for i, m, body in phi._boxes:
+        lacking = [s for s in fam if not s.bits >> i & 1]
+        if lacking:
+            keys = [_sim_key(s, m) for s in lacking]
+            wit = {k for s, k in zip(lacking, keys) if not s.bits >> body & 1}
+            dropped.update(s.bits for s, k in zip(lacking, keys)
+                           if k not in wit)
+    if not dropped:
+        return fam
+    return [s for s in fam if s.bits not in dropped]
 
 
 def _surviving_cells(phi: ClosureIndex, sets: List[HintikkaSet]):

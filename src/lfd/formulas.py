@@ -18,6 +18,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 VarSet = frozenset  # frozenset[str]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# closure sets are exponential in the variables; `closure` stops at this many
+CLOSURE_VARIABLE_LIMIT = 12
 
 
 class FormulaError(ValueError):
@@ -560,10 +562,6 @@ def subsets(vs) -> Iterator[frozenset]:
     for n in range(len(vs) + 1):
         for combo in itertools.combinations(vs, n):
             yield frozenset(combo)
-
-
-# closure sets are exponential in the variables; `closure` stops at this many
-CLOSURE_VARIABLE_LIMIT = 12
 
 
 def closure(fs: Iterable[Formula]) -> frozenset:

@@ -147,6 +147,8 @@ def _moore_families(n: int) -> Iterator[List[int]]:
 
 # closure-system tables, and with them sat/valid, stop at this many variables
 VARIABLE_LIMIT = 4
+# the uniform representation has up to 2^(2^n) rows; it stops at this n
+UNIFORM_VARIABLE_LIMIT = 4
 # n -> the tables over n variables, each stored with one assignment
 _TABLES: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
@@ -199,10 +201,6 @@ def represent_global(r: AbstractDependence) -> DependenceModel:
         set_token = "s:" + ",".join(sorted(c))
         rows.append([f"v:{x}" if x in c else set_token for x in variables])
     return model_from_rows(variables, rows)
-
-
-# the uniform representation has up to 2^(2^n) rows; it stops at this n
-UNIFORM_VARIABLE_LIMIT = 4
 
 
 def represent_uniform(r: AbstractDependence) -> DependenceModel:
