@@ -377,10 +377,11 @@ def filtrate(r: RelationalModel, phi: F.Formula) -> RelationalModel:
     formulas."""
     from .decide import HintikkaSet, closure_index, witness_model
     index = closure_index([phi])
-    types = dict.fromkeys(
-        sum(_eval(r, w, f) << i for i, f in enumerate(index.formulas))
-        for w in r.worlds)
-    return witness_model(index, [HintikkaSet(index, t) for t in types], "c")
+    profiles = dict.fromkeys(tuple(_eval(r, w, f) for f in index.formulas)
+                             for w in r.worlds)
+    family = [HintikkaSet(index, sum(t << i for i, t in enumerate(p)))
+              for p in profiles]
+    return witness_model(index, family, "c")
 
 
 # ---------------------------------------------------------------------------
