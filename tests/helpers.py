@@ -120,6 +120,58 @@ def random_surface_formula(rng: random.Random, variables: Sequence[str],
     return F.CondDep(random_varset(rng, variables), rng.choice(variables), sub())
 
 
+def random_term(rng: random.Random, variables: Sequence[str],
+                depth: int) -> F.Term:
+    """Random term: a variable, or a unary/binary application nested to depth."""
+    if depth <= 0 or rng.random() < 0.4:
+        return F.TermVar(rng.choice(variables))
+    return F.TermApp(rng.choice(("f", "g")),
+                     tuple(random_term(rng, variables, depth - 1)
+                           for _ in range(rng.randint(1, 2))))
+
+
+def random_any_formula(rng: random.Random, variables: Sequence[str],
+                       depth: int) -> F.Formula:
+    """Random formula drawing every node class, with nested function terms;
+    fit for syntactic helpers only (the AST is not checked for sense)."""
+    vs = lambda: random_varset(rng, variables)
+    v = lambda: rng.choice(variables)
+    term = lambda: random_term(rng, variables, 2)
+    leaves = (
+        lambda: F.Pred("R", (v(), v())),
+        lambda: F.DepAtom(vs(), v()),
+        lambda: F.Top(),
+        lambda: F.Bot(),
+        lambda: F.Indep(vs(), vs(), vs() if rng.random() < 0.5 else None),
+        lambda: F.Compare(vs(), vs(), vs()),
+        lambda: F.PredT("R", (term(), term())),
+        lambda: F.DepAtomT(frozenset(term() for _ in range(rng.randint(0, 2))),
+                           term()),
+        lambda: F.ConstAtom(v()),
+        lambda: F.MultiDep(vs(), vs()),
+    )
+    if depth <= 0 or rng.random() < 0.2:
+        return rng.choice(leaves)()
+    sub = lambda: random_any_formula(rng, variables, depth - 1)
+    nodes = (
+        lambda: F.Not(sub()),
+        lambda: F.And(sub(), sub()),
+        lambda: F.Box(vs(), sub()),
+        lambda: F.CondDep(vs(), v(), sub()),
+        lambda: F.Learn(vs(), sub()),
+        lambda: F.Announce(sub(), sub()),
+        lambda: F.Or(sub(), sub()),
+        lambda: F.Imp(sub(), sub()),
+        lambda: F.Iff(sub(), sub()),
+        lambda: F.Dia(vs(), sub()),
+        lambda: F.Univ(sub()),
+        lambda: F.Exis(sub()),
+        lambda: F.AllQ(vs(), sub()),
+        lambda: F.ExQ(vs(), sub()),
+    )
+    return rng.choice(nodes)()
+
+
 def random_learn_formula(rng: random.Random, variables: Sequence[str],
                          depth: int) -> F.Formula:
     """Base formulas sprinkled with learning modalities."""

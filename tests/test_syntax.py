@@ -1,12 +1,15 @@
 """Formula layer: parsing, printing, free variables, renaming, closure,
 term elimination and the learning-modality reduction."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 
-from helpers import (random_base_formula, random_learn_formula,
-                     random_model, random_surface_formula)
+from helpers import (random_any_formula, random_base_formula,
+                     random_learn_formula, random_model,
+                     random_surface_formula)
 from lfd import checker
 from lfd import formulas as F
 from lfd.parser import ParseError, format_formula, parse, parse_sequent
@@ -219,3 +222,330 @@ class TestReduceLearn:
     def test_unsupported_operator(self):
         with pytest.raises(F.FormulaError):
             F.reduce_learn(parse("[learn x] I{x}{y}"))
+
+
+# ---------------------------------------------------------------------------
+# Reference ladders: the per-class traversals as they were written before the
+# node table, kept to check that the table-driven ones give the same answers.
+
+
+def ref_children(f):
+    if isinstance(f, F.Not):
+        return (f.body,)
+    if isinstance(f, (F.And, F.Or, F.Imp, F.Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (F.Box, F.Dia, F.Learn, F.AllQ, F.ExQ, F.Univ, F.Exis)):
+        return (f.body,)
+    if isinstance(f, F.CondDep):
+        return (f.cond,)
+    if isinstance(f, F.Announce):
+        return (f.ann, f.body)
+    return ()
+
+
+def ref_desugar(f):
+    if isinstance(f, (F.Pred, F.DepAtom, F.Top, F.Bot, F.PredT, F.DepAtomT,
+                      F.Compare)):
+        return f
+    if isinstance(f, F.Not):
+        return F.Not(ref_desugar(f.body))
+    if isinstance(f, F.And):
+        return F.And(ref_desugar(f.left), ref_desugar(f.right))
+    if isinstance(f, F.Box):
+        return F.Box(f.xs, ref_desugar(f.body))
+    if isinstance(f, F.Or):
+        return F.Not(F.And(F.Not(ref_desugar(f.left)),
+                           F.Not(ref_desugar(f.right))))
+    if isinstance(f, F.Imp):
+        return F.Not(F.And(ref_desugar(f.left), F.Not(ref_desugar(f.right))))
+    if isinstance(f, F.Iff):
+        a, b = ref_desugar(f.left), ref_desugar(f.right)
+        return F.And(F.Not(F.And(a, F.Not(b))), F.Not(F.And(b, F.Not(a))))
+    if isinstance(f, F.Dia):
+        return F.Not(F.Box(f.xs, F.Not(ref_desugar(f.body))))
+    if isinstance(f, F.Univ):
+        return F.Box(frozenset(), ref_desugar(f.body))
+    if isinstance(f, F.Exis):
+        return F.Not(F.Box(frozenset(), F.Not(ref_desugar(f.body))))
+    if isinstance(f, F.ConstAtom):
+        return F.DepAtom(frozenset(), f.y)
+    if isinstance(f, F.AllQ):
+        body = ref_desugar(f.body)
+        return F.Box(F.free_vars(body) - f.xs, body)
+    if isinstance(f, F.ExQ):
+        body = ref_desugar(f.body)
+        return F.Not(F.Box(F.free_vars(body) - f.xs, F.Not(body)))
+    if isinstance(f, F.MultiDep):
+        return F.conj([F.DepAtom(f.xs, y) for y in sorted(f.ys)])
+    if isinstance(f, F.Indep):
+        return F.Indep(f.xs, f.ys, f.cond)
+    if isinstance(f, F.CondDep):
+        return F.CondDep(f.xs, f.y, ref_desugar(f.cond))
+    if isinstance(f, F.Learn):
+        return F.Learn(f.xs, ref_desugar(f.body))
+    if isinstance(f, F.Announce):
+        return F.Announce(ref_desugar(f.ann), ref_desugar(f.body))
+    raise F.FormulaError(f"cannot desugar {f!r}")
+
+
+def ref_terms_vars(ts):
+    out = set()
+    for t in ts:
+        out |= F.term_vars(t)
+    return frozenset(out)
+
+
+def ref_all_vars(f):
+    if isinstance(f, F.Pred):
+        return frozenset(f.args)
+    if isinstance(f, F.DepAtom):
+        return f.xs | {f.y}
+    if isinstance(f, (F.Box, F.Dia, F.Learn, F.AllQ, F.ExQ)):
+        return f.xs | ref_all_vars(f.body)
+    if isinstance(f, F.ConstAtom):
+        return frozenset((f.y,))
+    if isinstance(f, F.MultiDep):
+        return f.xs | f.ys
+    if isinstance(f, F.Indep):
+        return f.xs | f.ys | (f.cond or frozenset())
+    if isinstance(f, F.Compare):
+        return f.xs | f.ys | f.zs
+    if isinstance(f, F.CondDep):
+        return f.xs | {f.y} | ref_all_vars(f.cond)
+    if isinstance(f, F.PredT):
+        return ref_terms_vars(f.terms)
+    if isinstance(f, F.DepAtomT):
+        return ref_terms_vars(f.sources) | F.term_vars(f.target)
+    out = set()
+    for c in ref_children(f):
+        out |= ref_all_vars(c)
+    return frozenset(out)
+
+
+def ref_modal_depth(f):
+    if isinstance(f, (F.Box, F.Dia, F.Univ, F.Exis, F.AllQ, F.ExQ, F.Learn)):
+        return 1 + ref_modal_depth(f.body)
+    if isinstance(f, F.CondDep):
+        return ref_modal_depth(f.cond)
+    if isinstance(f, F.Announce):
+        return 1 + max(ref_modal_depth(f.ann), ref_modal_depth(f.body))
+    return max((ref_modal_depth(c) for c in ref_children(f)), default=0)
+
+
+def ref_rename(f, sigma):
+    """The old renaming, without its injectivity check."""
+    s = lambda v: sigma.get(v, v)
+    sset = lambda xs: frozenset(s(v) for v in xs)
+
+    def sterm(t):
+        if isinstance(t, F.TermVar):
+            return F.TermVar(s(t.name))
+        return F.TermApp(t.func, tuple(sterm(a) for a in t.args))
+
+    def go(g):
+        if isinstance(g, F.Pred):
+            return F.Pred(g.name, tuple(s(a) for a in g.args))
+        if isinstance(g, F.DepAtom):
+            return F.DepAtom(sset(g.xs), s(g.y))
+        if isinstance(g, (F.Top, F.Bot)):
+            return g
+        if isinstance(g, (F.Not, F.Univ, F.Exis)):
+            return type(g)(go(g.body))
+        if isinstance(g, (F.And, F.Or, F.Imp, F.Iff)):
+            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, (F.Box, F.Dia, F.AllQ, F.ExQ, F.Learn)):
+            return type(g)(sset(g.xs), go(g.body))
+        if isinstance(g, F.ConstAtom):
+            return F.ConstAtom(s(g.y))
+        if isinstance(g, F.MultiDep):
+            return F.MultiDep(sset(g.xs), sset(g.ys))
+        if isinstance(g, F.Indep):
+            return F.Indep(sset(g.xs), sset(g.ys),
+                           sset(g.cond) if g.cond is not None else None)
+        if isinstance(g, F.Compare):
+            return F.Compare(sset(g.xs), sset(g.ys), sset(g.zs))
+        if isinstance(g, F.CondDep):
+            return F.CondDep(sset(g.xs), s(g.y), go(g.cond))
+        if isinstance(g, F.Announce):
+            return F.Announce(go(g.ann), go(g.body))
+        if isinstance(g, F.PredT):
+            return F.PredT(g.name, tuple(sterm(t) for t in g.terms))
+        if isinstance(g, F.DepAtomT):
+            return F.DepAtomT(frozenset(sterm(t) for t in g.sources),
+                              sterm(g.target))
+        raise F.FormulaError(f"cannot rename {g!r}")
+
+    return go(f)
+
+
+def ref_reduce_learn(f):
+    f = F.desugar(f)
+
+    def push(xs, g):
+        if isinstance(g, (F.Pred, F.PredT, F.Top, F.Bot)):
+            return g
+        if isinstance(g, F.Not):
+            return F.Not(push(xs, g.body))
+        if isinstance(g, F.And):
+            return F.And(push(xs, g.left), push(xs, g.right))
+        if isinstance(g, F.Box):
+            return F.Box(xs | g.xs, push(xs, g.body))
+        if isinstance(g, F.DepAtom):
+            return F.DepAtom(xs | g.xs, g.y)
+        raise F.FormulaError(
+            f"operator not supported under a learning modality: {g!r}")
+
+    def go(g):
+        if isinstance(g, F.Learn):
+            return push(g.xs, go(g.body))
+        if isinstance(g, F.Not):
+            return F.Not(go(g.body))
+        if isinstance(g, F.And):
+            return F.And(go(g.left), go(g.right))
+        if isinstance(g, F.Box):
+            return F.Box(g.xs, go(g.body))
+        if isinstance(g, F.CondDep):
+            return F.CondDep(g.xs, g.y, go(g.cond))
+        if isinstance(g, F.Announce):
+            return F.Announce(go(g.ann), go(g.body))
+        return g
+
+    return go(f)
+
+
+def ref_eliminate_terms(f):
+    f = F.desugar(f)
+    order, seen = [], {}
+
+    def scan_term(t):
+        if isinstance(t, F.TermApp):
+            for a in t.args:
+                scan_term(a)
+            if t not in seen:
+                seen[t] = f"_t{len(order)}"
+                order.append(t)
+
+    def scan(g):
+        if isinstance(g, F.PredT):
+            for t in g.terms:
+                scan_term(t)
+        elif isinstance(g, F.DepAtomT):
+            for t in sorted(g.sources, key=F.term_key):
+                scan_term(t)
+            scan_term(g.target)
+        elif isinstance(g, (F.Pred, F.DepAtom, F.Top, F.Bot)):
+            pass
+        elif isinstance(g, (F.Not, F.Box)):
+            scan(g.body)
+        elif isinstance(g, F.And):
+            scan(g.left)
+            scan(g.right)
+        else:
+            raise F.FormulaError(f"term elimination does not support {g!r}")
+
+    def tvar(t):
+        return t.name if isinstance(t, F.TermVar) else seen[t]
+
+    def rewrite(g):
+        if isinstance(g, F.PredT):
+            return F.Pred(g.name, tuple(tvar(t) for t in g.terms))
+        if isinstance(g, F.DepAtomT):
+            return F.DepAtom(frozenset(tvar(t) for t in g.sources),
+                             tvar(g.target))
+        if isinstance(g, F.Not):
+            return F.Not(rewrite(g.body))
+        if isinstance(g, F.And):
+            return F.And(rewrite(g.left), rewrite(g.right))
+        if isinstance(g, F.Box):
+            return F.Box(g.xs, rewrite(g.body))
+        return g
+
+    scan(f)
+    body = rewrite(f)
+    defs = [F.Box(frozenset(),
+                  F.DepAtom(frozenset(tvar(a) for a in t.args), seen[t]))
+            for t in order]
+    return F.conj(defs + [body]) if defs else body
+
+
+def outcome(fn, *args):
+    """The result of fn, or the class and text of the FormulaError it raised."""
+    try:
+        return fn(*args)
+    except F.FormulaError as e:
+        return (type(e), str(e))
+
+
+# the fields of every node class, in declaration order
+NODE_FIELDS = {
+    "Pred": ("name", "args"), "Not": ("body",), "And": ("left", "right"),
+    "Box": ("xs", "body"), "DepAtom": ("xs", "y"), "Top": (), "Bot": (),
+    "Indep": ("xs", "ys", "cond"), "Compare": ("xs", "ys", "zs"),
+    "CondDep": ("xs", "y", "cond"), "Learn": ("xs", "body"),
+    "Announce": ("ann", "body"), "PredT": ("name", "terms"),
+    "DepAtomT": ("sources", "target"), "Or": ("left", "right"),
+    "Imp": ("left", "right"), "Iff": ("left", "right"), "Dia": ("xs", "body"),
+    "Univ": ("body",), "Exis": ("body",), "ConstAtom": ("y",),
+    "AllQ": ("xs", "body"), "ExQ": ("xs", "body"), "MultiDep": ("xs", "ys"),
+}
+
+
+def nodes(f):
+    yield f
+    for c in ref_children(f):
+        yield from nodes(c)
+
+
+class TestNodeTable:
+    VS = ("x", "y", "z")
+
+    def sample(self, n=700, seed=22):
+        rng = random.Random(seed)
+        return [random_any_formula(rng, self.VS, rng.randint(0, 4))
+                for _ in range(n)]
+
+    def test_draw_hits_every_node_class(self):
+        seen = {type(g) for f in self.sample() for g in nodes(f)}
+        assert set(F.Formula.__subclasses__()) <= seen
+        assert any(isinstance(t, F.TermApp) and
+                   any(isinstance(a, F.TermApp) for a in t.args)
+                   for f in self.sample() for g in nodes(f)
+                   if isinstance(g, F.PredT) for t in g.terms)
+
+    def test_node_fields_unchanged(self):
+        classes = F.Formula.__subclasses__()
+        assert {c.__name__ for c in classes} == set(NODE_FIELDS)
+        for c in classes:
+            assert tuple(fl.name for fl in dataclasses.fields(c)) == \
+                NODE_FIELDS[c.__name__]
+
+    def test_same_as_reference_ladders(self):
+        rng = random.Random(5)
+        for f in self.sample(2000):
+            for g in nodes(f):
+                assert F.children(g) == ref_children(g)
+                assert F.all_vars(g) == ref_all_vars(g)
+                assert F.modal_depth(g) == ref_modal_depth(g)
+            assert outcome(F.desugar, f) == outcome(ref_desugar, f)
+            assert outcome(F.reduce_learn, f) == outcome(ref_reduce_learn, f)
+            assert outcome(F.eliminate_terms, f) == \
+                outcome(ref_eliminate_terms, f)
+            perm = list(self.VS)
+            rng.shuffle(perm)
+            sigma = dict(zip(self.VS, perm))
+            assert F.rename(f, sigma) == ref_rename(f, sigma)
+            fresh = {v: v + "1" for v in self.VS}
+            assert F.rename(f, fresh) == ref_rename(f, fresh)
+            merge = {"x": "y"}
+            if {"x", "y"} <= F.all_vars(f):
+                with pytest.raises(F.FormulaError):
+                    F.rename(f, merge)
+            else:
+                assert F.rename(f, merge) == ref_rename(f, merge)
+
+    def test_pickle_and_hash_unchanged(self):
+        for f in self.sample(100):
+            g = pickle.loads(pickle.dumps(f))
+            # (no repr check: a rebuilt frozenset may list its items in
+            # another order)
+            assert g == f and hash(g) == hash(f) and type(g) is type(f)
