@@ -2,6 +2,7 @@
 term elimination and the learning-modality reduction."""
 
 import dataclasses
+import gc
 import pickle
 import random
 
@@ -119,6 +120,14 @@ class TestRename:
     def test_not_injective(self):
         with pytest.raises(F.FormulaError):
             F.rename(parse("P(x,y)"), {"x": "y"})
+
+    def test_not_injective_message_is_fixed(self):
+        # the occurring variables are checked in sorted order, whatever the
+        # hash seed
+        with pytest.raises(F.FormulaError) as e:
+            F.rename(parse("P(x,y)"), {"x": "y"})
+        assert str(e.value) == \
+            "renaming not injective: 'x' and 'y' both map to 'y'"
 
     def test_action_laws(self):
         rng = random.Random(11)
@@ -518,6 +527,26 @@ class TestNodeTable:
         for c in classes:
             assert tuple(fl.name for fl in dataclasses.fields(c)) == \
                 NODE_FIELDS[c.__name__]
+
+    def test_every_field_has_a_known_role(self):
+        for c in F.Formula.__subclasses__():
+            assert tuple(name for name, _ in c._roles) == NODE_FIELDS[c.__name__]
+            assert all(role in F.ROLES for _, role in c._roles)
+            assert c._kids == tuple(name for name, role in c._roles
+                                    if role == "Formula")
+
+    def test_unknown_role_refused(self):
+        with pytest.raises(TypeError, match="unknown field role"):
+            class Odd(F.Formula):
+                xs: frozenset
+        gc.collect()  # drop the half-made class from Formula.__subclasses__()
+
+    def test_map_children(self):
+        f = parse("[ann P(x)] D{x}y|(Q(y))")
+        assert F.map_children(f, F.Not) == \
+            F.Announce(F.Not(parse("P(x)")), F.Not(parse("D{x}y|(Q(y))")))
+        leaf = parse("I{x}{y}")
+        assert F.map_children(leaf, F.Not) is leaf
 
     def test_same_as_reference_ladders(self):
         rng = random.Random(5)
