@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 command completed (boolean results are printed, not encoded),
-2 parse or format error, 3 semantic error (unknown variable, cap exceeded,
+2 parse or format error or unreadable/unwritable file, 3 semantic error (unknown variable, cap exceeded,
 bad row address), 4 internal invariant violation.
 """
 
@@ -31,8 +31,6 @@ class CliError(Exception):
 def _load_model(path: str) -> models.DependenceModel:
     try:
         return models.load_model(path)
-    except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_PARSE)
     except models.ModelError as e:
         raise CliError(str(e), EXIT_PARSE)
 
@@ -137,8 +135,8 @@ def cmd_sat(args) -> int:
         r = decide.sat(F.reduce_learn(phi))
     except (decide.DecideError, F.FormulaError) as e:
         raise CliError(str(e), EXIT_SEMANTIC)
-    print(r.status)
     _write_witness(args.witness, r.witness)
+    print(r.status)
     return EXIT_OK
 
 
@@ -148,8 +146,8 @@ def cmd_valid(args) -> int:
         r = decide.valid(F.reduce_learn(phi))
     except (decide.DecideError, F.FormulaError) as e:
         raise CliError(str(e), EXIT_SEMANTIC)
-    print(r.status)
     _write_witness(args.witness, r.countermodel)
+    print(r.status)
     return EXIT_OK
 
 
@@ -166,10 +164,10 @@ def cmd_prove(args) -> int:
     if tree is None:
         print("refused")
         return EXIT_OK
-    print("proved")
     if args.tree:
         with open(args.tree, "w", encoding="utf-8") as fh:
             fh.write(prover.serialize_tree(tree))
+    print("proved")
     return EXIT_OK
 
 
@@ -177,8 +175,6 @@ def cmd_hilbert(args) -> int:
     try:
         with open(args.proof, "r", encoding="utf-8") as fh:
             proof = hilbert.parse_proof(fh.read())
-    except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_PARSE)
     except (hilbert.HilbertError, ParseError) as e:
         raise CliError(str(e), EXIT_PARSE)
     result = hilbert.check_hilbert(proof)
@@ -222,8 +218,6 @@ def cmd_represent(args) -> int:
     try:
         with open(args.relation, "r", encoding="utf-8") as fh:
             rels = represent.parse_relations(fh.read())
-    except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_PARSE)
     except represent.RelationError as e:
         raise CliError(str(e), EXIT_PARSE)
     try:
@@ -273,7 +267,7 @@ def _load_relational(path: str) -> relational.RelationalModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return relational.parse_relational(fh.read())
-    except (FileNotFoundError, relational.RelationalFormatError) as e:
+    except relational.RelationalFormatError as e:
         raise CliError(str(e), EXIT_PARSE)
     except relational.RelationalError as e:
         raise CliError(str(e), EXIT_SEMANTIC)
@@ -394,9 +388,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except (ParseError, F.ClosureCapError) as e:
+    except (ParseError, F.ClosureCapError, OSError, UnicodeDecodeError) as e:
+        # OSError and UnicodeDecodeError: any file that cannot be read or written
         print(str(e), file=sys.stderr)
-        return EXIT_PARSE if isinstance(e, ParseError) else EXIT_SEMANTIC
+        return EXIT_SEMANTIC if isinstance(e, F.ClosureCapError) else EXIT_PARSE
     except AssertionError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -238,3 +238,46 @@ class TestFiltrateConvert:
     def test_filtrate_missing_file_exit_two(self, capsys, tmp_path):
         self._refused(capsys, 2, "filtrate", "--model",
                       str(tmp_path / "missing.rm"), "--formula", "D{x}y")
+
+
+class TestFileErrors:
+    """Every unreadable or unwritable file exits 2, prints nothing on stdout
+    and no traceback."""
+
+    def _refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err and "Traceback" not in err
+
+    def test_model_is_a_directory(self, capsys, tmp_path):
+        self._refused(capsys, "check", "--model", str(tmp_path), "--at", "0",
+                      "P(x)")
+
+    def test_loaders_on_a_directory(self, capsys, tmp_path):
+        d = str(tmp_path)
+        self._refused(capsys, "filtrate", "--model", d, "--formula", "D{x}y")
+        self._refused(capsys, "convert", "--in", d)
+        self._refused(capsys, "represent", "--relation", d)
+        self._refused(capsys, "hilbert", d)
+        self._refused(capsys, "deps", "--model", d)
+
+    def test_model_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y\n\xff,0\n")
+        self._refused(capsys, "check", "--model", str(path), "--at", "0",
+                      "P(x)")
+
+    def test_missing_files(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing")
+        self._refused(capsys, "check", "--model", missing + ".csv", "--at",
+                      "0", "P(x)")
+        self._refused(capsys, "hilbert", missing + ".hp")
+        self._refused(capsys, "represent", "--relation", missing + ".rel")
+
+    def test_unwritable_outputs(self, capsys, tmp_path):
+        out = str(tmp_path / "no-such-dir" / "out.rm")
+        self._refused(capsys, "sat", "P(x) & !Q(x)", "--witness", out)
+        self._refused(capsys, "valid", "P(x)", "--witness", out)
+        self._refused(capsys, "prove", "P(x) => P(x)", "--tree", out)
+        self._refused(capsys, "convert", "--in", data_path("restaurant.csv"),
+                      "--out", out)
