@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 command completed (boolean results are printed, not encoded),
-2 parse or format error or unreadable/unwritable file, 3 semantic error (unknown variable, cap exceeded,
-bad row address), 4 internal invariant violation.
+2 parse or format error or unreadable/unwritable file, 3 semantic error
+(unknown variable, cap exceeded, bad row address), 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
